@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "baselines/random_walk.h"
 #include "core/harmonic.h"
 #include "core/known_k.h"
+#include "core/uniform.h"
 #include "plane/strategies.h"
 #include "rng/rng.h"
 #include "sim/batch/kernels.h"
@@ -369,6 +372,329 @@ TEST(BatchRunnerPlane, HomeTargetAndAllDoaEdgeCases) {
   };
   expect_conformance(s, 3, home_env, config, 6, 401);
   expect_conformance(s, 3, all_doa, config, 6, 402);
+}
+
+// --- large-k conformance ---------------------------------------------------
+//
+// The paper's E3/E1 cells run at k = 256..1024, where the advance loop's
+// bookkeeping is under the most pressure. Three targets at equal L1
+// distance force finder and first_target ties; the fixed lifetime below the
+// target distance kills every agent mid-run.
+
+TEST(BatchRunnerSegment, LargeKMatchesRunTrial) {
+  const core::UniformStrategy uniform(0.3);
+  const core::HarmonicStrategy harmonic(0.5);
+  const std::vector<grid::Point> targets = {{9, 3}, {-3, -9}, {6, -6}};
+  for (const int k : {17, 64, 256, 1024}) {
+    const core::KnownKStrategy known(k);
+    TrialStrategy su;
+    su.segment = &uniform;
+    TrialStrategy sh;
+    sh.segment = &harmonic;
+    TrialStrategy sk;
+    sk.segment = &known;
+    EngineConfig config;
+    config.time_cap = 5'000;
+
+    const auto sync = [&](const rng::Rng&) { return base_env(targets); };
+    const auto staggered = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, StaggeredStart(3),
+                              ExponentialLifetime(300.0), trial_rng);
+    };
+    const auto doa = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, UniformRandomStart(10),
+                              DoaCrash(0.3), trial_rng);
+    };
+    const auto kill_all = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, SyncStart(), FixedLifetime(10),
+                              trial_rng);
+    };
+    const int trials = k >= 1024 ? 1 : k >= 256 ? 2 : 4;
+    const auto seed = static_cast<std::uint64_t>(1000 + k);
+    for (const TrialStrategy* s : {&su, &sh, &sk}) {
+      expect_conformance(*s, k, sync, config, trials, seed);
+      expect_conformance(*s, k, staggered, config, trials, seed + 1);
+      expect_conformance(*s, k, doa, config, trials, seed + 2);
+      expect_conformance(*s, k, kill_all, config, trials, seed + 3);
+    }
+  }
+}
+
+TEST(BatchRunnerPlane, LargeKMatchesRunTrial) {
+  const plane::PlaneHarmonicStrategy harmonic(0.3);
+  const std::vector<plane::Vec2> targets = {{10.0, 0.0}, {0.0, -10.0}};
+  for (const int k : {17, 64}) {
+    const plane::PlaneKnownKStrategy known(k);
+    TrialStrategy sk;
+    sk.plane = &known;
+    TrialStrategy sh;
+    sh.plane = &harmonic;
+    EngineConfig config;
+    config.time_cap = 20'000;
+
+    const auto plane_env = [&](const rng::Rng&) {
+      TrialEnvironment env;
+      env.plane_targets = targets;
+      return env;
+    };
+    const auto staggered = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, plane_env(trial_rng), StaggeredStart(2),
+                              ExponentialLifetime(200.0), trial_rng);
+    };
+    const auto doa = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, plane_env(trial_rng), UniformRandomStart(6),
+                              DoaCrash(0.3), trial_rng);
+    };
+    const auto seed = static_cast<std::uint64_t>(2000 + k);
+    for (const TrialStrategy* s : {&sk, &sh}) {
+      expect_conformance(*s, k, plane_env, config, 4, seed);
+      expect_conformance(*s, k, staggered, config, 4, seed + 1);
+      expect_conformance(*s, k, doa, config, 4, seed + 2);
+    }
+  }
+}
+
+// --- segment budget ---------------------------------------------------------
+
+/// run_one must throw the segment-budget error exactly when run_trial does,
+/// and otherwise return the identical result.
+void expect_same_outcome_or_throw(const TrialStrategy& strategy, int k,
+                                  const TrialEnvironment& env,
+                                  const EngineConfig& config,
+                                  std::uint64_t seed) {
+  const rng::Rng trial_rng(seed);
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    BatchRunner runner(strategy, k, config);
+    bool want_threw = false;
+    TrialResult want;
+    try {
+      want = run_trial(strategy, k, env, trial_rng, config);
+    } catch (const std::runtime_error&) {
+      want_threw = true;
+    }
+    bool got_threw = false;
+    TrialResult got;
+    try {
+      got = runner.run_one(env, trial_rng);
+    } catch (const std::runtime_error&) {
+      got_threw = true;
+    }
+    ASSERT_EQ(want_threw, got_threw)
+        << simd_level_name(level) << " seed " << seed;
+    if (!want_threw) EXPECT_SAME_RESULT(want, got);
+  }
+}
+
+TEST(BatchRunnerSegment, BudgetThrowParityWhenEveryStartIsNever) {
+  // Every clock sits at kNeverTime from the start: the heap still pops the
+  // lowest-index agent over and over, so the budget must trip.
+  const testing::ScriptedStrategy parked({});
+  TrialStrategy s;
+  s.segment = &parked;
+  EngineConfig config;
+  config.max_segments_per_agent = 5;
+  TrialEnvironment env = base_env({{4, 4}});
+  env.starts = {kNeverTime, kNeverTime, kNeverTime};
+  expect_same_outcome_or_throw(s, 3, env, config, 11);
+  EXPECT_THROW(run_trial(s, 3, env, rng::Rng(11), config), std::runtime_error);
+
+  // Same environment under a finite cap: nobody ever acts, no throw.
+  config.time_cap = 1'000;
+  expect_same_outcome_or_throw(s, 3, env, config, 12);
+}
+
+TEST(BatchRunnerSegment, BudgetThrowParityAroundTheDecidedRace) {
+  // Agent 0 parks forever in two-tick segments (starts 0, 2, 4, ...).
+  // Agent 1 walks out to (x, 0), then steps onto the target at (x, 1): the
+  // race is decided at time x + 1, from a segment starting at x. Agent 0's
+  // (budget + 1)-th segment starts at 2 * budget, so with 2 * budget <= x
+  // both executors must throw, and with 2 * budget > x neither may — even
+  // though agent 0, the lower index, may run past x before agent 1's hit is
+  // known.
+  for (std::int64_t x = 40; x <= 160; x += 2) {
+    const testing::PerAgentScriptedStrategy scripts(
+        {{}, {GoTo{grid::Point{x, 0}}, GoTo{grid::Point{x, 2}}}});
+    TrialStrategy s;
+    s.segment = &scripts;
+    const TrialEnvironment env = base_env({{x, 1}});
+    for (const std::int64_t budget : {x / 2, x / 2 + 1}) {
+      EngineConfig config;
+      config.max_segments_per_agent = budget;
+      expect_same_outcome_or_throw(s, 2, env, config,
+                                   static_cast<std::uint64_t>(x));
+      const bool throws = 2 * budget <= x;
+      if (throws) {
+        EXPECT_THROW(run_trial(s, 2, env, rng::Rng(1), config),
+                     std::runtime_error);
+      } else {
+        EXPECT_TRUE(run_trial(s, 2, env, rng::Rng(1), config).found);
+      }
+    }
+  }
+}
+
+// --- randomized scripted races ------------------------------------------------
+//
+// Agents that wander a tiny board with random ops (zero-duration ops and
+// revisits included) over a handful of targets produce every tie the
+// executors must break identically: equal hit times across agents and
+// targets, hits at a segment's very first node, agents crashing or running
+// out of budget around the decisive hit, targets appearing while an agent
+// stands on them.
+
+class RandomOpsStrategy final : public Strategy {
+ public:
+  std::string name() const override { return "random-ops"; }
+  std::unique_ptr<AgentProgram> make_program(AgentContext) const override {
+    class P final : public AgentProgram {
+     public:
+      Op next(rng::Rng& rng) override {
+        switch (rng.uniform_int(0, 5)) {
+          case 0:
+            pos_ = grid::kOrigin;
+            return ReturnToSource{};
+          case 1: {
+            const Time d = rng.uniform_int(0, 9);
+            pos_ = pos_ + grid::spiral_point(d);
+            return SpiralFor{d};
+          }
+          case 2: {
+            FollowPath fp;
+            const auto n = rng.uniform_int(0, 6);
+            for (std::int64_t i = 0; i < n; ++i) {
+              const auto dir = rng.uniform_int(0, 3);
+              pos_ = pos_ + grid::Point{dir == 0 ? 1 : dir == 1 ? -1 : 0,
+                                        dir == 2 ? 1 : dir == 3 ? -1 : 0};
+              fp.steps.push_back(pos_);
+            }
+            return fp;
+          }
+          default:
+            pos_ = grid::Point{rng.uniform_int(-4, 4), rng.uniform_int(-4, 4)};
+            return GoTo{pos_};
+        }
+      }
+
+     private:
+      grid::Point pos_ = grid::kOrigin;
+    };
+    return std::make_unique<P>();
+  }
+};
+
+TEST(BatchRunnerSegment, RandomScriptedRacesMatchRunTrial) {
+  const RandomOpsStrategy random_ops;
+  TrialStrategy s;
+  s.segment = &random_ops;
+  rng::Rng draw(20261018);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int k = static_cast<int>(draw.uniform_int(1, 12));
+    const auto uk = static_cast<std::size_t>(k);
+    const int mode = trial % 3;  // 0 static, 1 windows first, 2 collect all
+    TrialEnvironment env;
+    const auto nt = draw.uniform_int(mode == 0 ? 1 : 0, 4);
+    for (std::int64_t i = 0; i < nt; ++i) {
+      // The static path resolves origin targets up front; keep them off it.
+      grid::Point p{draw.uniform_int(-3, 3), draw.uniform_int(-3, 3)};
+      if (mode == 0 && p == grid::kOrigin) p = grid::Point{1, 0};
+      env.targets.push_back(p);
+      if (mode != 0) {
+        const double appear = static_cast<double>(draw.uniform_int(0, 30));
+        env.target_appear.push_back(appear);
+        env.target_vanish.push_back(appear +
+                                    static_cast<double>(draw.uniform_int(1, 60)));
+      }
+    }
+    env.windowed = mode != 0;
+    env.collect_all = mode == 2;
+    if (draw.uniform_int(0, 1) == 1) {
+      for (std::size_t a = 0; a < uk; ++a) {
+        env.starts.push_back(draw.uniform_int(0, 12));
+      }
+    }
+    if (draw.uniform_int(0, 1) == 1) {
+      for (std::size_t a = 0; a < uk; ++a) {
+        env.lifetimes.push_back(draw.uniform_int(0, 3) == 0
+                                    ? kNeverTime
+                                    : draw.uniform_int(0, 60));
+      }
+    }
+    EngineConfig config;
+    config.time_cap = draw.uniform_int(20, 120);
+    if (draw.uniform_int(0, 2) == 0) {
+      config.max_segments_per_agent = draw.uniform_int(1, 30);
+    }
+    expect_same_outcome_or_throw(s, k, env, config,
+                                 static_cast<std::uint64_t>(trial));
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at trial " << trial;
+  }
+}
+
+class RandomPlaneOpsStrategy final : public plane::PlaneStrategy {
+ public:
+  std::string name() const override { return "random-plane-ops"; }
+  std::unique_ptr<plane::PlaneAgentProgram> make_program(int,
+                                                         int) const override {
+    class P final : public plane::PlaneAgentProgram {
+     public:
+      plane::PlaneOp next(rng::Rng& rng) override {
+        switch (rng.uniform_int(0, 3)) {
+          case 0:
+            return plane::ReturnHome{};
+          case 1:
+            return plane::SpiralSweep{
+                static_cast<double>(rng.uniform_int(0, 12))};
+          default:
+            // Integer coordinates make exact tie times likely.
+            return plane::GoToPoint{
+                plane::Vec2{static_cast<double>(rng.uniform_int(-4, 4)),
+                            static_cast<double>(rng.uniform_int(-4, 4))}};
+        }
+      }
+    };
+    return std::make_unique<P>();
+  }
+};
+
+TEST(BatchRunnerPlane, RandomScriptedRacesMatchRunTrial) {
+  const RandomPlaneOpsStrategy random_ops;
+  TrialStrategy s;
+  s.plane = &random_ops;
+  rng::Rng draw(20261019);
+  for (int trial = 0; trial < 1500; ++trial) {
+    const int k = static_cast<int>(draw.uniform_int(1, 12));
+    const auto uk = static_cast<std::size_t>(k);
+    TrialEnvironment env;
+    const auto nt = draw.uniform_int(1, 5);
+    for (std::int64_t i = 0; i < nt; ++i) {
+      env.plane_targets.push_back(
+          plane::Vec2{static_cast<double>(draw.uniform_int(-4, 4)),
+                      static_cast<double>(draw.uniform_int(-4, 4))});
+    }
+    if (draw.uniform_int(0, 1) == 1) {
+      for (std::size_t a = 0; a < uk; ++a) {
+        env.starts.push_back(draw.uniform_int(0, 12));
+      }
+    }
+    if (draw.uniform_int(0, 1) == 1) {
+      for (std::size_t a = 0; a < uk; ++a) {
+        env.lifetimes.push_back(draw.uniform_int(0, 3) == 0
+                                    ? kNeverTime
+                                    : draw.uniform_int(0, 60));
+      }
+    }
+    EngineConfig config;
+    config.time_cap = draw.uniform_int(20, 120);
+    config.sight_radius = 0.5;
+    if (draw.uniform_int(0, 2) == 0) {
+      config.max_segments_per_agent = draw.uniform_int(1, 30);
+    }
+    expect_same_outcome_or_throw(s, k, env, config,
+                                 static_cast<std::uint64_t>(trial));
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at trial " << trial;
+  }
 }
 
 TEST(BatchRunner, ReusedAcrossTrialsDoesNotLeakState) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "baselines/random_walk.h"
+#include "core/harmonic.h"
 #include "core/known_k.h"
 #include "plane/strategies.h"
 #include "rng/splitmix64.h"
@@ -37,6 +38,7 @@
 #include "sim/batch/simd.h"
 #include "sim/placement.h"
 #include "sim/trial.h"
+#include "test_support.h"
 
 namespace ants {
 namespace {
@@ -472,6 +474,77 @@ TEST(TargetProcess, BatchRunnerMatchesScalarOnDynamicEnvs) {
         EXPECT_EQ(runner.take_scalar_fallbacks(), 0u);
       }
     }
+  }
+}
+
+TEST(TargetProcess, BatchRunnerMatchesScalarOnDynamicEnvsAtLargeK) {
+  // Windowed first-of-set and collect-all segment cells at k = 64, where
+  // many agents race for the same short-lived targets.
+  using sim::batch::SimdLevel;
+  constexpr int kAgents = 64;
+  const core::KnownKStrategy known(kAgents);
+  const core::HarmonicStrategy harmonic(0.5);
+  const sim::TargetProcess poisson =
+      sim::poisson_targets(0.05, 200.0, sim::uniform_ring_placement());
+  EngineConfig config;
+  config.time_cap = 600;
+
+  SimdLevelGuard guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    sim::batch::force_simd_level(level);
+    for (const sim::Strategy* strategy :
+         {static_cast<const sim::Strategy*>(&known),
+          static_cast<const sim::Strategy*>(&harmonic)}) {
+      sim::TrialStrategy s;
+      s.segment = strategy;
+      sim::batch::BatchRunner runner(s, kAgents, config);
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const rng::Rng trial_rng(rng::mix_seed(0x1A26E64, seed));
+        for (const bool collect : {false, true}) {
+          TrialEnvironment env;
+          rng::Rng realize_rng(trial_rng.seed());
+          poisson.grid(realize_rng, 6, config.time_cap, &env);
+          env = sim::draw_environment(kAgents, std::move(env),
+                                      sim::StaggeredStart(2),
+                                      sim::ExponentialLifetime(400.0),
+                                      trial_rng);
+          env.collect_all = collect;
+          expect_same_result(
+              runner.run_one(env, trial_rng),
+              run_trial(*strategy, kAgents, env, trial_rng, config));
+        }
+      }
+      EXPECT_EQ(runner.take_scalar_fallbacks(), 0u);
+    }
+  }
+}
+
+TEST(TargetProcess, BatchRunnerBreaksOriginArrivalTiesLikeTheHeap) {
+  // A windowed target on the origin appears at t = 10. Agent 0 wakes up on
+  // it at t = 10 (a hit at its first segment's first node); agent 1 walks
+  // back onto it at t = 10 from a segment that started at t = 5. The heap
+  // pops agent 1's segment first, so in the first-of-set race agent 1 wins
+  // and agent 0 never acts; in collect-all mode the far target keeps the
+  // race open, agent 0 acts and the lower index takes the origin target.
+  const testing::PerAgentScriptedStrategy scripts(
+      {{sim::GoTo{Point{0, 9}}}, {sim::GoTo{Point{5, 0}}, sim::ReturnToSource{}}});
+  for (const bool collect : {false, true}) {
+    TrialEnvironment env;
+    env.targets = {Point{0, 0}, Point{0, 9}};
+    env.target_appear = {10.0, 0.0};
+    env.target_vanish = {1000.0, 1000.0};
+    env.starts = {10, 0};
+    env.collect_all = collect;
+    EngineConfig config;
+    config.time_cap = 100;
+    sim::TrialStrategy s;
+    s.segment = &scripts;
+    const rng::Rng trial_rng(3);
+    const TrialResult want = run_trial(scripts, 2, env, trial_rng, config);
+    EXPECT_EQ(want.finder, collect ? 0 : 1);
+    sim::batch::BatchRunner runner(s, 2, config);
+    expect_same_result(runner.run_one(env, trial_rng), want);
   }
 }
 
