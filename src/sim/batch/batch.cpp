@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "grid/spiral.h"
 #include "grid/staircase_path.h"
@@ -15,34 +18,36 @@ namespace ants::sim::batch {
 
 namespace {
 
-// Tiny-scan argmin, lowest index on ties (strict < keeps the first). For a
-// handful of elements the SIMD kernels lose to this: the indirect call plus
-// horizontal reduction costs more than the scan itself (measured ~19ns vs
-// ~8ns at n=16 for the AVX2 kernel). The kernels take over for large scans,
-// where the vector width wins.
-template <typename T>
-inline std::size_t small_argmin(const T* v, std::size_t n) noexcept {
-  std::size_t bi = 0;
-  T bv = v[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    if (v[i] < bv) {
-      bv = v[i];
-      bi = i;
-    }
-  }
-  return bi;
+/// Epoch ceilings sit an eighth above the epoch floor (the earliest live
+/// clock), so the last epoch overshoots the final bound by a few percent of
+/// the trial's segments at most. Grid ceilings are capped at this many ticks
+/// above the floor so every start of an epoch fits a uint32 offset from it.
+inline constexpr Time kMaxGridEpochSpan = (Time{1} << 31) - 1;
+
+Time epoch_ceiling(Time floor) noexcept {
+  // floor <= util::kTimeCap (run_segment delegates larger starts), so the
+  // sum cannot overflow.
+  return floor + std::clamp<Time>(floor / 8, 0, kMaxGridEpochSpan);
 }
 
-/// Block size for the two-level min-clock advance. A flat argmin rescan is
-/// O(k) per segment pop and dominates large-k trials; keeping per-block
-/// minima cuts a pop to one block rescan + one block-minima scan + one
-/// winning-block scan. Picking the lowest block achieving the global min,
-/// then the lowest index inside it, reproduces the flat lowest-index argmin
-/// exactly, so pop order — and every result byte — is unchanged.
-inline constexpr std::size_t kMinBlock = 8;
+/// Plane agents act only while their clock is strictly below the ceiling,
+/// so a plane ceiling always lies at least one time unit above its floor.
+double epoch_ceiling(double floor) noexcept {
+  return floor + std::max(floor / 8, 1.0);
+}
 
-/// Flat scans up to this size skip the two-level structure entirely.
-inline constexpr std::size_t kFlatAdvance = 16;
+/// Whether an agent whose clock is `clock` runs its next segment under
+/// `limit` = min(ceiling, bound). The grid heap runs a segment iff its start
+/// is <= the bound; the plane heap iff it is < the bound.
+bool acts(Time clock, Time limit) noexcept { return clock <= limit; }
+bool acts(double clock, double limit) noexcept { return clock < limit; }
+
+const char* budget_error(Time) noexcept {
+  return "run_trial: agent exceeded segment budget without terminating";
+}
+const char* budget_error(double) noexcept {
+  return "plane engine: agent exceeded segment budget without terminating";
+}
 
 }  // namespace
 
@@ -68,11 +73,11 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
   detail::validate_trial_args(strategy_, k_, env);
   if (strategy_.plane != nullptr) {
     if (env.has_dynamic_targets()) {
-      // The one remaining delegation: plane windowed/collect cells. Their
-      // dynamic race lives inside plane::run_plane_trial's heap loop, where
-      // the quadratic sight tests dominate — rebuilding that loop here buys
-      // little. Counted (batch_scalar_fallback metric) so the delegation is
-      // observable instead of silent; run_one ≡ run_trial holds trivially.
+      // Plane windowed/collect cells delegate: their dynamic race lives
+      // inside plane::run_plane_trial's heap loop, where the quadratic sight
+      // tests dominate — rebuilding that loop here buys little. Counted
+      // (batch_scalar_fallback metric) so the delegation is observable
+      // instead of silent; run_one ≡ run_trial holds trivially.
       ++scalar_fallbacks_;
       return run_trial(strategy_, k_, env, trial_rng, config_);
     }
@@ -83,20 +88,166 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
 }
 
 // ---------------------------------------------------------------------------
-// Segment backend: the scalar executor's interleaved min-heap sweep (see
-// sim/trial.cpp) with the heap replaced by an argmin kernel over the SoA
-// clock array — removed agents park at kNeverTime, which never wins the scan
-// while a live clock remains — and the Segment variant flattened into direct
-// hit tests. A walk's targets are prefiltered by the endpoint bounding box
-// (a staircase is monotone, so it never leaves it), and the StaircasePath is
-// only constructed when some target survives the box.
+// Epoch advance (segment and plane backends).
+//
+// Each epoch walks the live agents in index order; an agent runs segments
+// back to back while its clock is within min(ceiling, bound), recording
+// each segment's start. When the bound (the race's current stopping time)
+// falls inside the ceiling, or nobody is left, that epoch is the last.
+// Otherwise every segment of the epoch is inside the final bound — each
+// later hit comes after the ceiling, since every live clock is past it — so
+// its segments and crashes are counted, a refused segment throws, and the
+// next epoch starts from the earliest live clock.
 
-TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
-                                     const rng::Rng& trial_rng) {
+template <typename Clock, typename Step>
+Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
+                                  const Clock& bound, Step&& step,
+                                  std::int64_t* segments, int* crashed) {
+  constexpr bool kGrid = std::is_integral_v<Clock>;
+  runs_.clear();
+  starts_.clear();
+  pstarts_.clear();
+  if (live_.empty()) return Clock{};
+  Clock floor = clock[live_.front()];
+  for (const std::uint32_t a : live_) floor = std::min(floor, clock[a]);
+
+  const std::int64_t budget = config_.max_segments_per_agent;
+  for (;;) {
+    const Clock ceiling = epoch_ceiling(floor);
+    const auto record = [&](Clock start) {
+      if constexpr (kGrid) {
+        starts_.push_back(static_cast<std::uint32_t>(start - floor));
+      } else {
+        pstarts_.push_back(start);
+      }
+    };
+    runs_.clear();
+    starts_.clear();
+    pstarts_.clear();
+    Clock next_floor = std::numeric_limits<Clock>::max();
+    std::size_t kept = 0;
+    for (std::size_t li = 0; li < live_.size(); ++li) {
+      const std::uint32_t a = live_[li];
+      if (acts(clock[a], std::min(ceiling, bound))) {
+        bool died = false;
+        bool refused = false;
+        do {
+          record(clock[a]);
+          if (seg_count_[a] >= budget) {
+            refused = true;
+            break;
+          }
+          ++seg_count_[a];
+          if (step(a)) {
+            died = true;
+            break;
+          }
+        } while (acts(clock[a], std::min(ceiling, bound)));
+        const std::size_t n = kGrid ? starts_.size() : pstarts_.size();
+        runs_.push_back(
+            EpochRun{a, static_cast<std::uint32_t>(n), died, refused});
+        if (died || refused) continue;
+      }
+      live_[kept++] = a;
+      next_floor = std::min(next_floor, clock[a]);
+    }
+    live_.resize(kept);
+    if (live_.empty() || bound <= ceiling) return floor;
+
+    std::size_t n = kGrid ? starts_.size() : pstarts_.size();
+    for (const EpochRun& run : runs_) {
+      if (run.refused) throw std::runtime_error(budget_error(Clock{}));
+      *crashed += run.crashed ? 1 : 0;
+    }
+    *segments += static_cast<std::int64_t>(n);
+    floor = next_floor;
+  }
+}
+
+template <typename Clock, typename Inside>
+void BatchRunner::settle_final_epoch(Clock floor, Inside inside,
+                                     Clock tie_time, int tie_agent,
+                                     std::size_t tie_last,
+                                     std::int64_t* segments,
+                                     int* crashed) const {
+  std::size_t i = 0;
+  for (const EpochRun& run : runs_) {
+    const int a = static_cast<int>(run.agent);
+    // An agent's starts never decrease, so once one falls outside, the rest
+    // of its run does too.
+    for (; i < run.end; ++i) {
+      Clock start;
+      if constexpr (std::is_integral_v<Clock>) {
+        start = floor + static_cast<Clock>(starts_[i]);
+      } else {
+        start = pstarts_[i];
+      }
+      const bool tie = start == tie_time &&
+                       (a < tie_agent || (a == tie_agent && i <= tie_last));
+      if (!inside(start) && !tie) break;
+      const bool last = i + 1 == run.end;
+      if (last && run.refused) throw std::runtime_error(budget_error(Clock{}));
+      ++*segments;
+      if (last && run.crashed) ++*crashed;
+    }
+    i = run.end;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Segment backend: the scalar executor's heap sweep (see sim/trial.cpp) run
+// as epoch advance, with the Segment variant flattened into direct hit
+// tests. A walk's targets are prefiltered by the endpoint bounding box (a
+// staircase is monotone, so it never leaves it), and the StaircasePath is
+// only constructed when some target survives the box.
+//
+// Hits are ranked by (time, lying past the segment's first node, agent,
+// target). The second key is the heap's order at the decisive time T: it
+// pops every segment starting before T — so every hit at T past a first
+// node — before any segment starting at T, and once the bound drops below
+// T it pops none of those. A hit ON the first node of a segment starting
+// at T (an agent waking up on a target, a target appearing under a resting
+// agent) only counts when no hit at T lies past a first node.
+
+void BatchRunner::start_segment_agents(const TrialEnvironment& env,
+                                       const rng::Rng& trial_rng,
+                                       int* crashed) {
   const Strategy& strategy = *strategy_.segment;
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
+  seg_programs_.clear();
+  rngs_.clear();
+  for (int a = 0; a < k; ++a) {
+    seg_programs_.push_back(strategy.make_program(AgentContext{a, k}));
+    rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
+  }
+  clock_.assign(uk, 0);
+  elapsed_.assign(uk, 0);
+  pos_x_.assign(uk, 0);
+  pos_y_.assign(uk, 0);
+  seg_count_.assign(uk, 0);
+  live_.clear();
+  for (std::size_t a = 0; a < uk; ++a) {
+    const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[a];
+    if (life <= 0) {
+      ++*crashed;  // dead on arrival: never acts
+      continue;
+    }
+    clock_[a] = env.starts.empty() ? Time{0} : env.starts[a];
+    live_.push_back(static_cast<std::uint32_t>(a));
+  }
+}
 
+TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
+                                     const rng::Rng& trial_rng) {
+  if (env.last_start() > util::kTimeCap) {
+    // A hand-built start beyond the saturation cap: the agent's clock would
+    // fall back to kTimeCap after its first segment, and its hits would
+    // precede that segment's start — the two orderings epoch advance rests
+    // on. No schedule draws such starts; delegate, counted.
+    ++scalar_fallbacks_;
+    return run_trial(strategy_, k_, env, trial_rng, config_);
+  }
   if (env.has_target_windows() || env.collect_all) {
     // Same routing predicate as the scalar run_segment_trial: drift and
     // dwell were rejected by validate_trial_args for this family.
@@ -106,34 +257,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   const Time last_start = env.last_start();
   TrialResult result;
   result.last_start = static_cast<double>(last_start);
-  if (detail::resolve_origin_target(env, k, config_.time_cap, &result)) {
+  if (detail::resolve_origin_target(env, k_, config_.time_cap, &result)) {
     return result;
   }
-
-  seg_programs_.clear();
-  rngs_.clear();
-  for (int a = 0; a < k; ++a) {
-    seg_programs_.push_back(strategy.make_program(AgentContext{a, k}));
-    rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
-  }
-  clock_.assign(uk, kNeverTime);
-  elapsed_.assign(uk, 0);
-  pos_x_.assign(uk, 0);
-  pos_y_.assign(uk, 0);
-  seg_count_.assign(uk, 0);
-  queued_.assign(uk, 0);
-  std::size_t n_queued = 0;
-  for (int a = 0; a < k; ++a) {
-    const auto ia = static_cast<std::size_t>(a);
-    const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
-    if (life <= 0) {
-      ++result.crashed;  // dead on arrival: never acts
-      continue;
-    }
-    clock_[ia] = env.starts.empty() ? Time{0} : env.starts[ia];
-    queued_[ia] = 1;
-    ++n_queued;
-  }
+  start_segment_agents(env, trial_rng, &result.crashed);
 
   const std::size_t nt = env.targets.size();
   tgt_x_.resize(nt);
@@ -143,58 +270,18 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     tgt_y_[ti] = env.targets[ti].y;
   }
 
-  // Two-level min-clock advance (see kMinBlock). Block scans are at most
-  // kMinBlock elements, so they use small_argmin; the block-minima scan uses
-  // the SIMD kernel once it is wide enough to amortize the call.
-  const bool two_level = uk > kFlatAdvance;
-  const std::size_t n_min_blocks = (uk + kMinBlock - 1) / kMinBlock;
-  const auto refresh_blockmin = [&](std::size_t b) {
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, uk - base);
-    blockmin_[b] = clock_[base + small_argmin(clock_.data() + base, len)];
-  };
-  if (two_level) {
-    blockmin_.resize(n_min_blocks);
-    for (std::size_t b = 0; b < n_min_blocks; ++b) refresh_blockmin(b);
-  }
-  const auto argmin_clock = [&]() -> std::size_t {
-    if (!two_level) return small_argmin(clock_.data(), uk);
-    const std::size_t b =
-        n_min_blocks > 2 * kFlatAdvance
-            ? kernels_->argmin_i64(blockmin_.data(), n_min_blocks)
-            : small_argmin(blockmin_.data(), n_min_blocks);
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, uk - base);
-    return base + small_argmin(clock_.data() + base, len);
-  };
-
   Time best = kNeverTime;
+  bool best_on_first_node = false;
   int finder = -1;
   int first_target = -1;
+  std::size_t best_record = 0;    // epoch record of the best hit's segment
+  Time bound = config_.time_cap;  // min(cap, best - 1)
 
-  while (n_queued > 0) {
-    std::size_t ia = argmin_clock();
-    if (clock_[ia] == kNeverTime) {
-      // Every queued clock is at kNeverTime (a hand-built environment with
-      // such a start), so the argmin may have landed on a REMOVED agent's
-      // parking value. The heap would pop the lowest-index queued agent.
-      ia = 0;
-      while (queued_[ia] == 0) ++ia;
-    }
-    const Time abs_clock = clock_[ia];
-    const Time bound =
-        std::min(config_.time_cap, best == kNeverTime ? best : best - 1);
-    if (abs_clock > bound) break;
-
+  const auto step = [&](std::uint32_t ia) {
     const int a = static_cast<int>(ia);
-    if (++seg_count_[ia] > config_.max_segments_per_agent) {
-      throw std::runtime_error(
-          "run_trial: agent exceeded segment budget without terminating");
-    }
-    ++result.segments;
-
     const Time start = env.starts.empty() ? Time{0} : env.starts[ia];
     const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
+    const Time seg_start = clock_[ia];
     const grid::Point pos{pos_x_[ia], pos_y_[ia]};
 
     const auto consider = [&](Time hit, std::size_t ti) {
@@ -202,11 +289,17 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       if (when_active > life) return;  // only counts while still alive
       const Time when_abs = util::sat_add(start, when_active);
       if (when_abs > config_.time_cap) return;
-      // Earliest hit wins; ties to the lowest agent, then lowest target.
-      if (when_abs < best || (when_abs == best && a < finder)) {
+      const bool on_first = when_abs == seg_start;
+      if (when_abs < best ||
+          (when_abs == best &&
+           ((!on_first && best_on_first_node) ||
+            (on_first == best_on_first_node && a < finder)))) {
         best = when_abs;
+        best_on_first_node = on_first;
         finder = a;
         first_target = static_cast<int>(ti);
+        best_record = starts_.size() - 1;
+        bound = std::min(config_.time_cap, best - 1);
       }
     };
 
@@ -267,16 +360,18 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
     pos_x_[ia] = end.x;
     pos_y_[ia] = end.y;
-    if (elapsed_[ia] >= life) {
-      ++result.crashed;  // halts mid-plan; position is wherever it died
-      clock_[ia] = kNeverTime;
-      queued_[ia] = 0;
-      --n_queued;
-    } else {
-      clock_[ia] = util::sat_add(start, elapsed_[ia]);
-    }
-    if (two_level) refresh_blockmin(ia / kMinBlock);
-  }
+    // A crash halts the agent mid-plan, wherever it died.
+    if (elapsed_[ia] >= life) return true;
+    clock_[ia] = util::sat_add(start, elapsed_[ia]);
+    return false;
+  };
+
+  const Time floor =
+      advance_epochs(clock_, bound, step, &result.segments, &result.crashed);
+  settle_final_epoch(
+      floor, [bound](Time s) { return s <= bound; }, best,
+      best_on_first_node ? finder : -1, best_record, &result.segments,
+      &result.crashed);
 
   if (best != kNeverTime) {
     result.found = true;
@@ -296,17 +391,26 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // ---------------------------------------------------------------------------
 // Segment backend, dynamic variant: the scalar run_segment_trial_dynamic
 // sweep (appear/vanish windows + collect-all; drift and dwell were rejected
-// by validate_trial_args for this family) over the same SoA state and
-// two-level argmin as the static path. The flattened op scans reproduce
+// by validate_trial_args for this family) as epoch advance over the same
+// SoA state as the static path. The flattened op scans reproduce
 // hit_offset_from exactly: walks and spirals visit each node at most once,
 // so their unique hit counts iff its offset is not before the window's
 // first admissible offset; explicit paths rescan from that offset.
+//
+// Per target, the earliest hit past a segment's first node and the
+// earliest hit on one are kept apart (each with its lowest agent), and the
+// heap's view is rebuilt after the advance. Below the decisive time T — the
+// first find, or in collect-all mode the time the last target falls — the
+// heap runs every segment, so both kinds count. At T it runs the segments
+// starting before T, then those starting at T in agent order until the
+// bound drops below T: in the first-find race, up to the lowest agent whose
+// first node hits (only if no hit at T lies past a first node); in
+// collect-all mode, up to the agent that finds the last target found only
+// on a first node.
 
 TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
                                              const rng::Rng& trial_rng) {
-  const Strategy& strategy = *strategy_.segment;
   const int k = k_;
-  const auto uk = static_cast<std::size_t>(k);
 
   const Time last_start = env.last_start();
   const std::size_t nt = env.targets.size();
@@ -327,31 +431,7 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
     }
     return result;
   }
-
-  seg_programs_.clear();
-  rngs_.clear();
-  for (int a = 0; a < k; ++a) {
-    seg_programs_.push_back(strategy.make_program(AgentContext{a, k}));
-    rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
-  }
-  clock_.assign(uk, kNeverTime);
-  elapsed_.assign(uk, 0);
-  pos_x_.assign(uk, 0);
-  pos_y_.assign(uk, 0);
-  seg_count_.assign(uk, 0);
-  queued_.assign(uk, 0);
-  std::size_t n_queued = 0;
-  for (int a = 0; a < k; ++a) {
-    const auto ia = static_cast<std::size_t>(a);
-    const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
-    if (life <= 0) {
-      ++result.crashed;  // dead on arrival: never acts
-      continue;
-    }
-    clock_[ia] = env.starts.empty() ? Time{0} : env.starts[ia];
-    queued_[ia] = 1;
-    ++n_queued;
-  }
+  start_segment_agents(env, trial_rng, &result.crashed);
 
   tgt_x_.resize(nt);
   tgt_y_.resize(nt);
@@ -363,72 +443,32 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
     app_[ti] = detail::appear_of(env, ti);
     van_[ti] = detail::vanish_of(env, ti);
   }
-  // Per-target earliest hit; in collect-first mode only slot semantics
-  // differ (the race collapses to a single best across targets).
   best_t_.assign(nt, kNeverTime);
   finder_t_.assign(nt, -1);
-  Time best_first = kNeverTime;  // collect-first race bound
+  zbest_t_.assign(nt, kNeverTime);
+  zfinder_t_.assign(nt, -1);
+  zrecord_t_.assign(nt, 0);
 
-  const bool two_level = uk > kFlatAdvance;
-  const std::size_t n_min_blocks = (uk + kMinBlock - 1) / kMinBlock;
-  const auto refresh_blockmin = [&](std::size_t b) {
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, uk - base);
-    blockmin_[b] = clock_[base + small_argmin(clock_.data() + base, len)];
-  };
-  if (two_level) {
-    blockmin_.resize(n_min_blocks);
-    for (std::size_t b = 0; b < n_min_blocks; ++b) refresh_blockmin(b);
-  }
-  const auto argmin_clock = [&]() -> std::size_t {
-    if (!two_level) return small_argmin(clock_.data(), uk);
-    const std::size_t b =
-        n_min_blocks > 2 * kFlatAdvance
-            ? kernels_->argmin_i64(blockmin_.data(), n_min_blocks)
-            : small_argmin(blockmin_.data(), n_min_blocks);
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, uk - base);
-    return base + small_argmin(clock_.data() + base, len);
+  // The bound below which a segment can still change the outcome: in the
+  // first-find race the earliest hit - 1; in collect-all mode the loosest
+  // per-target bound (an unfound target keeps the cap open).
+  Time bound = config_.time_cap;
+  const auto collect_bound = [&] {
+    Time loosest = 0;
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      const Time b = std::min(best_t_[ti], zbest_t_[ti]);
+      loosest = std::max(loosest, b == kNeverTime ? config_.time_cap : b - 1);
+    }
+    return std::min(config_.time_cap, loosest);
   };
 
-  while (n_queued > 0) {
-    std::size_t ia = argmin_clock();
-    if (clock_[ia] == kNeverTime) {
-      // Every queued clock is at kNeverTime; the heap would pop the
-      // lowest-index queued agent (see run_segment).
-      ia = 0;
-      while (queued_[ia] == 0) ++ia;
-    }
-    const Time abs_clock = clock_[ia];
-    // The bound below which a pop can still improve the outcome: in the
-    // first-find race it is the classic best - 1; in collect-all it is the
-    // loosest per-target bound (an unfound target keeps the cap open).
-    Time bound = config_.time_cap;
-    if (!collect) {
-      bound = std::min(bound, best_first == kNeverTime ? best_first
-                                                       : best_first - 1);
-    } else {
-      Time loosest = 0;
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        loosest = std::max(loosest, best_t_[ti] == kNeverTime
-                                        ? config_.time_cap
-                                        : best_t_[ti] - 1);
-      }
-      bound = std::min(bound, loosest);
-    }
-    if (abs_clock > bound) break;
-
+  const auto step = [&](std::uint32_t ia) {
     const int a = static_cast<int>(ia);
-    if (++seg_count_[ia] > config_.max_segments_per_agent) {
-      throw std::runtime_error(
-          "run_trial: agent exceeded segment budget without terminating");
-    }
-    ++result.segments;
-
     const Time start = env.starts.empty() ? Time{0} : env.starts[ia];
     const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
     const grid::Point pos{pos_x_[ia], pos_y_[ia]};
-    const Time base = util::sat_add(start, elapsed_[ia]);
+    const Time base = clock_[ia];
+    bool lowered = false;
 
     const auto consider = [&](Time hit, std::size_t ti) {
       const Time when_active = util::sat_add(elapsed_[ia], hit);
@@ -438,12 +478,21 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
       // The first in-window visit at or past vanish means every later
       // revisit is as well (the live window is one interval).
       if (static_cast<double>(when_abs) >= van_[ti]) return;
-      if (when_abs < best_t_[ti] ||
-          (when_abs == best_t_[ti] && a < finder_t_[ti])) {
-        best_t_[ti] = when_abs;
-        finder_t_[ti] = a;
+      const bool on_first = when_abs == base;
+      Time& best = on_first ? zbest_t_[ti] : best_t_[ti];
+      int& finder = on_first ? zfinder_t_[ti] : finder_t_[ti];
+      if (when_abs < best || (when_abs == best && a < finder)) {
+        if (when_abs < std::min(best_t_[ti], zbest_t_[ti])) {
+          if (collect) {
+            lowered = true;
+          } else {
+            bound = std::min(bound, when_abs - 1);
+          }
+        }
+        best = when_abs;
+        finder = a;
+        if (on_first) zrecord_t_[ti] = starts_.size() - 1;
       }
-      if (when_abs < best_first) best_first = when_abs;
     };
 
     Time dur = 0;
@@ -508,42 +557,83 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
       end = fp.steps.empty() ? pos : fp.steps.back();
     }
 
+    if (lowered) bound = collect_bound();
     elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
     pos_x_[ia] = end.x;
     pos_y_[ia] = end.y;
-    if (elapsed_[ia] >= life) {
-      ++result.crashed;  // halts mid-plan; position is wherever it died
-      clock_[ia] = kNeverTime;
-      queued_[ia] = 0;
-      --n_queued;
-    } else {
-      clock_[ia] = util::sat_add(start, elapsed_[ia]);
-    }
-    if (two_level) refresh_blockmin(ia / kMinBlock);
-  }
+    // A crash halts the agent mid-plan, wherever it died.
+    if (elapsed_[ia] >= life) return true;
+    clock_[ia] = util::sat_add(start, elapsed_[ia]);
+    return false;
+  };
 
-  // Earliest capture (ties: lowest agent, then lowest target) fills
-  // finder/first_target in both modes.
+  const Time floor =
+      advance_epochs(clock_, bound, step, &result.segments, &result.crashed);
+
+  // The decisive time T and, when the heap ran segments starting at T, the
+  // last agent it ran them for (see the section comment).
   std::size_t n_found = 0;
   Time t_all = 0;
+  Time t_first = kNeverTime;
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    const Time b = std::min(best_t_[ti], zbest_t_[ti]);
+    if (b == kNeverTime) continue;
+    ++n_found;
+    t_all = std::max(t_all, b);
+    t_first = std::min(t_first, b);
+  }
+  const bool all_found = collect ? n_found == nt : n_found > 0;
+  const Time decisive = !all_found ? kNeverTime : collect ? t_all : t_first;
+  bool past_first_at_decisive = false;
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    past_first_at_decisive =
+        past_first_at_decisive || best_t_[ti] == decisive;
+  }
+  // Collect-all: the heap stops after the last of the targets found at T
+  // only on a first node falls; first-find: after the first such hit, and
+  // only if no hit at T lies past a first node.
+  int tie_agent = -1;
+  std::size_t tie_last = 0;
+  for (std::size_t ti = 0; ti < nt && decisive != kNeverTime; ++ti) {
+    if (zbest_t_[ti] != decisive || best_t_[ti] <= decisive) continue;
+    if (!collect && past_first_at_decisive) break;
+    const int f = zfinder_t_[ti];
+    const std::size_t r = zrecord_t_[ti];
+    if (tie_agent < 0 || (collect ? f > tie_agent : f < tie_agent)) {
+      tie_agent = f;
+      tie_last = r;
+    } else if (f == tie_agent) {
+      tie_last = collect ? std::max(tie_last, r) : std::min(tie_last, r);
+    }
+  }
+  settle_final_epoch(
+      floor, [bound](Time s) { return s <= bound; }, decisive, tie_agent,
+      tie_last, &result.segments, &result.crashed);
+
+  // Each target's time and finder as the heap credits them; the earliest
+  // capture (ties: lowest agent, then lowest target) fills finder and
+  // first_target in both modes.
   Time first_time = kNeverTime;
   for (std::size_t ti = 0; ti < nt; ++ti) {
-    if (best_t_[ti] == kNeverTime) continue;
-    ++n_found;
-    t_all = std::max(t_all, best_t_[ti]);
-    if (collect) result.target_times[ti] = static_cast<double>(best_t_[ti]);
-    if (best_t_[ti] < first_time ||
-        (best_t_[ti] == first_time && finder_t_[ti] < result.finder)) {
-      first_time = best_t_[ti];
-      result.finder = finder_t_[ti];
+    const Time b = std::min(best_t_[ti], zbest_t_[ti]);
+    if (b == kNeverTime) continue;
+    int f = best_t_[ti] == b ? finder_t_[ti] : INT_MAX;
+    const bool heap_ran_it =
+        b != decisive || zfinder_t_[ti] < tie_agent ||
+        (zfinder_t_[ti] == tie_agent && zrecord_t_[ti] <= tie_last);
+    if (zbest_t_[ti] == b && heap_ran_it) f = std::min(f, zfinder_t_[ti]);
+    if (f == INT_MAX) continue;  // first-find only: outranked at T anyway
+    if (collect) result.target_times[ti] = static_cast<double>(b);
+    if (b < first_time || (b == first_time && f < result.finder)) {
+      first_time = b;
+      result.finder = f;
       result.first_target = static_cast<int>(ti);
     }
   }
-  const bool all_found = collect ? n_found == nt : n_found > 0;
-  if (all_found && (collect || first_time != kNeverTime)) {
-    result.found = true;
-    result.time = static_cast<double>(collect ? t_all : first_time);
+  if (all_found) {
     const Time done = collect ? t_all : first_time;
+    result.found = true;
+    result.time = static_cast<double>(done);
     result.from_last_start =
         static_cast<double>(done > last_start ? done - last_start : 0);
   } else {
@@ -912,12 +1002,12 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
 }
 
 // ---------------------------------------------------------------------------
-// Plane backend: the continuous min-clock sweep (plane/engine.cpp) with the
-// clock heap replaced by an argmin_f64 scan (removed agents park at
-// kPlaneNever, and the loop breaks on clock >= bound, so the parking value
-// terminates it exactly when the empty heap would), line sight tests
-// prefiltered by the line_candidates kernel (every candidate re-checked by
-// the scalar quadratic), and the per-move spiral Newton solve memoized.
+// Plane backend: the continuous heap sweep (plane/engine.cpp) run as epoch
+// advance — the heap runs a move iff its start is strictly below the bound
+// min(cap, best), and hits rank as in the segment backend — with line sight
+// tests prefiltered by the line_candidates kernel (every candidate
+// re-checked by the scalar quadratic) and the per-move spiral Newton solve
+// memoized.
 
 double BatchRunner::spiral_theta(double a, double s) {
   std::uint64_t bits = 0;
@@ -982,18 +1072,19 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
       plane_programs_.push_back(strategy.make_program(a, k));
       rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
     }
-    pclock_.assign(uk, plane::kPlaneNever);
+    pclock_.assign(uk, 0.0);
     pelapsed_.assign(uk, 0.0);
     ppos_x_.assign(uk, 0.0);
     ppos_y_.assign(uk, 0.0);
     seg_count_.assign(uk, 0);
-    for (int a = 0; a < k; ++a) {
-      const auto ia = static_cast<std::size_t>(a);
+    live_.clear();
+    for (std::size_t ia = 0; ia < uk; ++ia) {
       if (lifetime_of(ia) <= 0) {
         ++presult.crashed;  // dead on arrival: never acts
         continue;
       }
       pclock_[ia] = start_of(ia);
+      live_.push_back(static_cast<std::uint32_t>(ia));
     }
 
     const std::size_t nt = plane_env_.targets.size();
@@ -1005,53 +1096,18 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     }
     cand_.resize(nt);
 
-    // Two-level min-clock advance, as in run_segment: identical pop order to
-    // the flat argmin_f64 rescan at O(k/8 + 16) per pop instead of O(k).
-    const bool two_level = uk > kFlatAdvance;
-    const std::size_t n_min_blocks = (uk + kMinBlock - 1) / kMinBlock;
-    const auto refresh_blockmin = [&](std::size_t b) {
-      const std::size_t base = b * kMinBlock;
-      const std::size_t len = std::min(kMinBlock, uk - base);
-      pblockmin_[b] = pclock_[base + small_argmin(pclock_.data() + base, len)];
-    };
-    if (two_level) {
-      pblockmin_.resize(n_min_blocks);
-      for (std::size_t b = 0; b < n_min_blocks; ++b) refresh_blockmin(b);
-    }
-    const auto argmin_clock = [&]() -> std::size_t {
-      if (!two_level) return small_argmin(pclock_.data(), uk);
-      const std::size_t b =
-          n_min_blocks > 2 * kFlatAdvance
-              ? kernels_->argmin_f64(pblockmin_.data(), n_min_blocks)
-              : small_argmin(pblockmin_.data(), n_min_blocks);
-      const std::size_t base = b * kMinBlock;
-      const std::size_t len = std::min(kMinBlock, uk - base);
-      return base + small_argmin(pclock_.data() + base, len);
-    };
-
     plane::Time best = plane::kPlaneNever;
+    bool best_on_first_node = false;
     int finder = -1;
     int first_target = -1;
+    std::size_t best_record = 0;  // epoch record of the best hit's move
+    plane::Time bound = pconfig.time_cap;  // min(cap, best)
 
-    for (;;) {
-      const std::size_t ia = argmin_clock();
-      const plane::Time abs_clock = pclock_[ia];
-      // All other clocks are >= this one; once it reaches the bound, no
-      // agent can improve the outcome. When every agent has been removed
-      // the argmin is the kPlaneNever parking value, which also trips this.
-      const plane::Time bound = std::min(pconfig.time_cap, best);
-      if (abs_clock >= bound) break;
-
+    const auto step = [&](std::uint32_t ia) {
       const int a = static_cast<int>(ia);
-      if (++seg_count_[ia] > pconfig.max_segments_per_agent) {
-        throw std::runtime_error(
-            "plane engine: agent exceeded segment budget without "
-            "terminating");
-      }
-      ++presult.segments;
-
       const plane::Time start = start_of(ia);
       const plane::Time life = lifetime_of(ia);
+      const plane::Time move_start = pclock_[ia];
       const plane::Vec2 pos{ppos_x_[ia], ppos_y_[ia]};
 
       const auto consider = [&](plane::Time hit, std::size_t ti) {
@@ -1059,10 +1115,17 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
         if (when_active > life) return;  // only counts while still alive
         const plane::Time when_abs = start + when_active;
         if (when_abs > pconfig.time_cap) return;
-        if (when_abs < best || (when_abs == best && a < finder)) {
+        const bool on_first = when_abs == move_start;
+        if (when_abs < best ||
+            (when_abs == best &&
+             ((!on_first && best_on_first_node) ||
+              (on_first == best_on_first_node && a < finder)))) {
           best = when_abs;
+          best_on_first_node = on_first;
           finder = a;
           first_target = static_cast<int>(ti);
+          best_record = pstarts_.size() - 1;
+          bound = std::min(pconfig.time_cap, best);
         }
       };
 
@@ -1127,16 +1190,21 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
         ppos_x_[ia] = died_at.x;
         ppos_y_[ia] = died_at.y;
         pelapsed_[ia] = life;
-        ++presult.crashed;
-        pclock_[ia] = plane::kPlaneNever;
-      } else {
-        pelapsed_[ia] += move_time;
-        ppos_x_[ia] = end.x;
-        ppos_y_[ia] = end.y;
-        pclock_[ia] = start + pelapsed_[ia];
+        return true;
       }
-      if (two_level) refresh_blockmin(ia / kMinBlock);
-    }
+      pelapsed_[ia] += move_time;
+      ppos_x_[ia] = end.x;
+      ppos_y_[ia] = end.y;
+      pclock_[ia] = start + pelapsed_[ia];
+      return false;
+    };
+
+    const double floor = advance_epochs(pclock_, bound, step,
+                                        &presult.segments, &presult.crashed);
+    settle_final_epoch(
+        floor, [bound](double s) { return s < bound; }, best,
+        best_on_first_node ? finder : -1, best_record, &presult.segments,
+        &presult.crashed);
 
     if (best != plane::kPlaneNever) {
       presult.found = true;

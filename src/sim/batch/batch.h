@@ -6,8 +6,22 @@
 // every trial. BatchRunner hoists that state into reusable contiguous
 // arrays — per-agent clocks, positions, elapsed times, lifetimes in SoA
 // layout, targets split into coordinate arrays — and drives the inner loops
-// (min-clock advance, lock-step occupancy checks, plane sight-disc tests)
-// through the runtime-dispatched kernels in kernels.h.
+// (lock-step occupancy checks, plane sight-disc tests, dynamic-target
+// gates) through the runtime-dispatched kernels in kernels.h.
+//
+// The segment and plane backends replace the scalar heap's global min-clock
+// interleave with epoch advance: each epoch walks the live agents in index
+// order, and each agent runs its own segments back to back while its clock
+// is within both the epoch ceiling and the current bound; the ceiling grows
+// by a constant factor until the bound falls inside it. No agent ever waits
+// on another, because agents never interact: the outcome is a minimum over
+// hits keyed by (time, hit past its segment's first node, agent, target) —
+// the order the heap would have reached them in — and a minimum does not
+// depend on the order its candidates arrive in. The bound only shrinks, and
+// a hit never precedes its segment's start, so every segment the heap would
+// run is run here; the extra segments of the last epoch are reconciled away
+// by their recorded starts, leaving `segments`, `crashed`, and the segment
+// budget check counted over exactly the heap's segments.
 //
 // Batching is strictly an execution detail. Per-trial seed derivation is
 // unchanged — agent a still draws from trial_rng.child(a), environments
@@ -55,10 +69,10 @@ class BatchRunner {
   TrialResult run_one(const TrialEnvironment& env, const rng::Rng& trial_rng);
 
   /// Trials run_one delegated to the scalar executor since the last call,
-  /// returned and reset. Grid backends never delegate; the one remaining
-  /// case is a plane strategy under a dynamic target process (see run_one).
-  /// Drained per block by the sweep driver into the batch_scalar_fallback
-  /// metric.
+  /// returned and reset. Two cases delegate (see run_one and run_segment):
+  /// a plane strategy under a dynamic target process, and a hand-built grid
+  /// environment with a start beyond util::kTimeCap. Drained per block by
+  /// the sweep driver into the batch_scalar_fallback metric.
   std::uint64_t take_scalar_fallbacks() noexcept {
     const std::uint64_t n = scalar_fallbacks_;
     scalar_fallbacks_ = 0;
@@ -87,6 +101,32 @@ class BatchRunner {
   TrialResult run_step_dynamic(const TrialEnvironment& env,
                                const rng::Rng& trial_rng);
 
+  /// Segment-backend agent setup shared by run_segment/_dynamic: programs,
+  /// rng streams, clocks, and the live list; counts the dead on arrival.
+  void start_segment_agents(const TrialEnvironment& env,
+                            const rng::Rng& trial_rng, int* crashed);
+
+  /// Epoch advance over the live agents (segment and plane backends, see
+  /// batch.cpp). `step(a)` runs agent a's next segment from clock[a],
+  /// updates clock[a] and the race (hence `bound`), and returns true iff
+  /// the agent died. Segments of every epoch but the last are added to
+  /// *segments/*crashed as they complete; the last epoch stays recorded for
+  /// settle_final_epoch. Returns that epoch's floor (its earliest clock).
+  template <typename Clock, typename Step>
+  Clock advance_epochs(const std::vector<Clock>& clock, const Clock& bound,
+                       Step&& step, std::int64_t* segments, int* crashed);
+
+  /// Counts the last epoch's segments the heap executor would have run:
+  /// those whose start is `inside` the final bound, plus — when the heap
+  /// also ran segments starting at the decisive time `tie_time`
+  /// (tie_agent >= 0) — those of the agents below tie_agent and
+  /// tie_agent's up to epoch record `tie_last`. Throws the segment budget
+  /// error when such a segment was the one refused.
+  template <typename Clock, typename Inside>
+  void settle_final_epoch(Clock floor, Inside inside, Clock tie_time,
+                          int tie_agent, std::size_t tie_last,
+                          std::int64_t* segments, int* crashed) const;
+
   /// spiral_theta_for_arc(a, s) through a small direct-mapped memo. The
   /// Newton solve dominates the plane profile and strategies reuse a few
   /// distinct durations (phase budgets) across agents and trials; keying on
@@ -113,18 +153,32 @@ class BatchRunner {
   std::vector<char> gate_;      ///< alive && !found, occupancy-scan gate
   std::vector<std::int64_t> found_at_;  ///< per-target discovery tick
   std::vector<std::int64_t> best_t_;    ///< segment: per-target earliest hit
-  std::vector<int> finder_t_;           ///< segment: per-target finder
+  std::vector<int> finder_t_;           ///<   past a segment's first node
+  std::vector<std::int64_t> zbest_t_;   ///< segment: per-target earliest hit
+  std::vector<int> zfinder_t_;          ///<   on a segment's first node, and
+  std::vector<std::uint32_t> zrecord_t_;  ///< its epoch record
   std::vector<std::int64_t> held_;      ///< dwell contact clocks, uk * nt
   std::vector<std::uint32_t> confirm_;  ///< dwell_advance output buffer
 
   // Segment backend.
   std::vector<std::unique_ptr<AgentProgram>> seg_programs_;
-  std::vector<std::int64_t> clock_;    ///< abs clock; kNeverTime = removed
+  std::vector<std::int64_t> clock_;    ///< absolute clock (next segment start)
   std::vector<std::int64_t> elapsed_;  ///< active time in own program
   std::vector<std::int64_t> pos_x_, pos_y_;
   std::vector<std::int64_t> seg_count_;
-  std::vector<char> queued_;  ///< mirrors heap membership (rare-path ties)
-  std::vector<std::int64_t> blockmin_;  ///< two-level argmin: per-block minima
+
+  // Epoch advance (segment and plane backends).
+  struct EpochRun {
+    std::uint32_t agent;
+    std::uint32_t end;  ///< one past its last entry in the epoch's starts
+    bool crashed;       ///< its last segment ended its lifetime
+    bool refused;       ///< its last entry is a start the budget refused
+  };
+  std::vector<std::uint32_t> live_;   ///< agents still advancing
+  std::vector<EpochRun> runs_;        ///< the current epoch's agent runs
+  std::vector<std::uint32_t> starts_;  ///< grid segment starts, as offsets
+                                       ///< from the epoch floor
+  std::vector<double> pstarts_;        ///< plane segment starts
 
   // Lock-step backend.
   std::vector<std::unique_ptr<StepProgram>> step_programs_;
@@ -134,10 +188,9 @@ class BatchRunner {
   std::vector<std::unique_ptr<plane::PlaneAgentProgram>> plane_programs_;
   plane::PlaneTrialEnvironment plane_env_;
   std::vector<double> ptgt_x_, ptgt_y_;
-  std::vector<double> pclock_;    ///< abs clock; kPlaneNever = removed
+  std::vector<double> pclock_;    ///< absolute clock (next move start)
   std::vector<double> pelapsed_;
   std::vector<double> ppos_x_, ppos_y_;
-  std::vector<double> pblockmin_;    ///< two-level argmin: per-block minima
   std::vector<std::uint32_t> cand_;  ///< line_candidates output buffer
 
   struct ThetaMemoEntry {

@@ -14,22 +14,6 @@ namespace {
 
 // --- scalar ----------------------------------------------------------------
 
-std::size_t argmin_i64_scalar(const std::int64_t* v, std::size_t n) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (v[i] < v[best]) best = i;
-  }
-  return best;
-}
-
-std::size_t argmin_f64_scalar(const double* v, std::size_t n) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (v[i] < v[best]) best = i;
-  }
-  return best;
-}
-
 std::size_t find_point_scalar(const std::int64_t* xs, const std::int64_t* ys,
                               std::size_t n, std::int64_t x, std::int64_t y) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -108,27 +92,8 @@ std::size_t dwell_advance_scalar(const std::int64_t* tx,
 
 // --- SSE2 (x86-64 baseline) ------------------------------------------------
 //
-// SSE2 has no 64-bit integer compare, so argmin_i64 stays scalar at this
-// level; the f64 argmin, pair equality (via 32-bit halves), and the line
-// prefilter do vectorize two-wide.
-
-std::size_t argmin_f64_sse2(const double* v, std::size_t n) {
-  if (n < 4) return argmin_f64_scalar(v, n);
-  __m128d acc = _mm_loadu_pd(v);
-  std::size_t i = 2;
-  for (; i + 2 <= n; i += 2) acc = _mm_min_pd(acc, _mm_loadu_pd(v + i));
-  alignas(16) double lanes[2];
-  _mm_store_pd(lanes, acc);
-  double m = lanes[1] < lanes[0] ? lanes[1] : lanes[0];
-  for (; i < n; ++i) {
-    if (v[i] < m) m = v[i];
-  }
-  // The reduced minimum is (numerically) one of the elements, so locating
-  // its first occurrence reproduces the scalar lowest-index tie-break.
-  std::size_t j = 0;
-  while (v[j] != m) ++j;
-  return j;
-}
+// Pair equality (via 32-bit halves), the window gate, and the line
+// prefilter vectorize two-wide.
 
 std::size_t find_point_sse2(const std::int64_t* xs, const std::int64_t* ys,
                             std::size_t n, std::int64_t x, std::int64_t y) {
@@ -233,54 +198,9 @@ std::size_t find_point_gated_sse2(const std::int64_t* xs,
 
 // drift_positions and dwell_advance stay scalar at SSE2: both pivot on
 // 64-bit integer compares/abs (and a bit-exact double->int64 round), none
-// of which SSE2 offers — the same reason argmin_i64 is scalar here.
+// of which SSE2 offers.
 
 // --- AVX2 (compiled per-function via target attribute) ---------------------
-
-__attribute__((target("avx2"))) std::size_t argmin_i64_avx2(
-    const std::int64_t* v, std::size_t n) {
-  if (n < 8) return argmin_i64_scalar(v, n);
-  __m256i acc = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v));
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    // No min_epi64 below AVX-512: compare-and-blend instead.
-    acc = _mm256_blendv_epi8(acc, x, _mm256_cmpgt_epi64(acc, x));
-  }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t m = lanes[0];
-  for (int l = 1; l < 4; ++l) {
-    if (lanes[l] < m) m = lanes[l];
-  }
-  for (; i < n; ++i) {
-    if (v[i] < m) m = v[i];
-  }
-  std::size_t j = 0;
-  while (v[j] != m) ++j;
-  return j;
-}
-
-__attribute__((target("avx2"))) std::size_t argmin_f64_avx2(const double* v,
-                                                            std::size_t n) {
-  if (n < 8) return argmin_f64_scalar(v, n);
-  __m256d acc = _mm256_loadu_pd(v);
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) acc = _mm256_min_pd(acc, _mm256_loadu_pd(v + i));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double m = lanes[0];
-  for (int l = 1; l < 4; ++l) {
-    if (lanes[l] < m) m = lanes[l];
-  }
-  for (; i < n; ++i) {
-    if (v[i] < m) m = v[i];
-  }
-  std::size_t j = 0;
-  while (v[j] != m) ++j;
-  return j;
-}
 
 __attribute__((target("avx2"))) std::size_t find_point_avx2(
     const std::int64_t* xs, const std::int64_t* ys, std::size_t n,
@@ -498,19 +418,16 @@ __attribute__((target("avx2"))) std::size_t dwell_advance_avx2(
 }  // namespace
 
 const Kernels& kernels_for(SimdLevel level) noexcept {
-  static const Kernels scalar{SimdLevel::kScalar,     argmin_i64_scalar,
-                              argmin_f64_scalar,      find_point_scalar,
-                              line_candidates_scalar, window_gate_scalar,
+  static const Kernels scalar{SimdLevel::kScalar,      find_point_scalar,
+                              line_candidates_scalar,  window_gate_scalar,
                               find_point_gated_scalar, drift_positions_scalar,
                               dwell_advance_scalar};
 #if defined(ANTS_BATCH_X86)
-  static const Kernels sse2{SimdLevel::kSse2,      argmin_i64_scalar,
-                            argmin_f64_sse2,       find_point_sse2,
+  static const Kernels sse2{SimdLevel::kSse2,      find_point_sse2,
                             line_candidates_sse2,  window_gate_sse2,
                             find_point_gated_sse2, drift_positions_scalar,
                             dwell_advance_scalar};
-  static const Kernels avx2{SimdLevel::kAvx2,      argmin_i64_avx2,
-                            argmin_f64_avx2,       find_point_avx2,
+  static const Kernels avx2{SimdLevel::kAvx2,      find_point_avx2,
                             line_candidates_avx2,  window_gate_avx2,
                             find_point_gated_avx2, drift_positions_avx2,
                             dwell_advance_avx2};

@@ -5,10 +5,6 @@
 // struct-of-arrays state, with scalar/SSE2/AVX2 implementations that are
 // RESULT-identical by construction:
 //
-//   * argmin_* return the lowest index attaining the minimum — the
-//     vector variants reduce the minimum value first, then locate its first
-//     occurrence, so the heap's lowest-index tie-break is preserved bit for
-//     bit.
 //   * find_point returns the first index whose (x, y) pair equals the
 //     probe — exactly the lock-step backend's in-order occupancy scan.
 //   * line_candidates evaluates, per target, the same IEEE expression tree
@@ -23,6 +19,11 @@
 //     rounding bit for bit (trunc + exact fraction + ±1 adjust), and the
 //     scan/advance kernels emit indices in ascending order so the scalar
 //     lowest-target-index tie-break is preserved.
+//
+// Agent scheduling needs no kernel: the segment and plane backends advance
+// agents in epochs (batch.h), where outcomes are order-independent minima
+// over hits and segment/crash counts are reconciled to the final bound, so
+// nothing scans for the earliest clock.
 //
 // Kernels never allocate and have no internal state; the dispatch level is
 // chosen per batch by the runner via kernels_for(active_simd_level()).
@@ -39,10 +40,6 @@ inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 struct Kernels {
   SimdLevel level = SimdLevel::kScalar;
-
-  /// Index of the minimum of v[0..n), lowest index on ties. n >= 1.
-  std::size_t (*argmin_i64)(const std::int64_t* v, std::size_t n);
-  std::size_t (*argmin_f64)(const double* v, std::size_t n);
 
   /// First i with xs[i] == x && ys[i] == y, else kNpos.
   std::size_t (*find_point)(const std::int64_t* xs, const std::int64_t* ys,

@@ -3,16 +3,18 @@
 // The contract under test is byte-identity: for every strategy family,
 // environment shape, and SIMD dispatch level this machine supports,
 // BatchRunner::run_one must reproduce sim::run_trial EXACTLY — same doubles
-// bit for bit, same finder/target tie-breaks, same crash counts. The kernel
-// unit tests pin the three primitives' scalar-equivalence properties
-// (lowest-index argmin ties, in-order occupancy find, candidate supersets)
-// at every level, including the non-multiple-of-width tails.
+// bit for bit, same finder/target tie-breaks, same crash and segment counts,
+// the same segment-budget errors. The kernel unit tests pin the primitives'
+// scalar-equivalence properties (in-order occupancy find, candidate
+// supersets) at every level, including the non-multiple-of-width tails.
 #include "sim/batch/batch.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "sim/batch/simd.h"
 #include "sim/trial.h"
 #include "test_support.h"
+#include "util/sat.h"
 
 namespace ants::sim::batch {
 namespace {
@@ -60,55 +63,6 @@ struct LevelGuard {
   } while (0)
 
 // --- kernel unit tests -----------------------------------------------------
-
-TEST(BatchKernels, ArgminI64MatchesScalarWithLowestIndexTies) {
-  rng::Rng rng(20260808);
-  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
-  for (const SimdLevel level : testable_levels()) {
-    const Kernels& k = kernels_for(level);
-    for (std::size_t n = 1; n <= 40; ++n) {
-      for (int rep = 0; rep < 20; ++rep) {
-        std::vector<std::int64_t> v(n);
-        for (auto& x : v) {
-          // Few distinct values => plenty of exact ties.
-          x = rng.uniform_int(-2, 2);
-        }
-        EXPECT_EQ(scalar.argmin_i64(v.data(), n), k.argmin_i64(v.data(), n))
-            << simd_level_name(level) << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(BatchKernels, ArgminF64MatchesScalarWithLowestIndexTies) {
-  rng::Rng rng(99);
-  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
-  for (const SimdLevel level : testable_levels()) {
-    const Kernels& k = kernels_for(level);
-    for (std::size_t n = 1; n <= 40; ++n) {
-      for (int rep = 0; rep < 20; ++rep) {
-        std::vector<double> v(n);
-        for (auto& x : v) x = static_cast<double>(rng.uniform_int(0, 3));
-        EXPECT_EQ(scalar.argmin_f64(v.data(), n), k.argmin_f64(v.data(), n))
-            << simd_level_name(level) << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(BatchKernels, ArgminHandlesSentinelArrays) {
-  const std::int64_t never = kNeverTime;
-  const std::vector<std::int64_t> all_never(11, never);
-  std::vector<std::int64_t> one_live(11, never);
-  one_live[7] = 42;
-  const std::vector<double> all_pnever(9, 1e300);
-  for (const SimdLevel level : testable_levels()) {
-    const Kernels& k = kernels_for(level);
-    EXPECT_EQ(k.argmin_i64(all_never.data(), all_never.size()), 0u);
-    EXPECT_EQ(k.argmin_i64(one_live.data(), one_live.size()), 7u);
-    EXPECT_EQ(k.argmin_f64(all_pnever.data(), all_pnever.size()), 0u);
-  }
-}
 
 TEST(BatchKernels, FindPointReturnsFirstMatchInOrder) {
   rng::Rng rng(7);
@@ -535,6 +489,35 @@ TEST(BatchRunnerSegment, BudgetThrowParityAroundTheDecidedRace) {
   }
 }
 
+TEST(BatchRunnerSegment, SaturatedClocksMatchRunTrial) {
+  // Starting just below util::kTimeCap, an agent's clock saturates after one
+  // segment: every later segment starts at kTimeCap and every later hit
+  // lands on kTimeCap too, so several of one agent's segments start at the
+  // decisive time before the one that finds the target. (The harmonic
+  // strategy's heavy-tailed spiral budgets reach this regime at k = 1.)
+  const Time near_cap = util::kTimeCap - 10;
+  const testing::PerAgentScriptedStrategy scripts(
+      {{GoTo{grid::Point{20, 0}}, GoTo{grid::Point{20, 5}},
+        GoTo{grid::Point{3, 3}}},
+       {GoTo{grid::Point{0, 30}}, GoTo{grid::Point{3, 30}},
+        GoTo{grid::Point{3, 3}}}});
+  TrialStrategy s;
+  s.segment = &scripts;
+  for (const int mode : {0, 1, 2}) {  // static, windows, collect all
+    for (const int k : {1, 2, 3}) {
+      TrialEnvironment env = base_env({{3, 3}, {20, 4}});
+      for (int a = 0; a < k; ++a) env.starts.push_back(near_cap - a);
+      if (mode > 0) {
+        env.target_appear = {0.0, 0.0};
+        env.target_vanish = {1e300, 1e300};
+      }
+      env.collect_all = mode == 2;
+      expect_same_outcome_or_throw(s, k, env, EngineConfig{},
+                                   static_cast<std::uint64_t>(10 * mode + k));
+    }
+  }
+}
+
 // --- randomized scripted races ------------------------------------------------
 //
 // Agents that wander a tiny board with random ops (zero-duration ops and
@@ -694,6 +677,70 @@ TEST(BatchRunnerPlane, RandomScriptedRacesMatchRunTrial) {
     expect_same_outcome_or_throw(s, k, env, config,
                                  static_cast<std::uint64_t>(trial));
     if (::testing::Test::HasFailure()) FAIL() << "diverged at trial " << trial;
+  }
+}
+
+/// Replays a fixed plane op list per agent, then shuttles between home and
+/// (-5, -5) forever.
+class ScriptedPlaneStrategy final : public plane::PlaneStrategy {
+ public:
+  explicit ScriptedPlaneStrategy(std::vector<std::vector<plane::PlaneOp>> ops)
+      : ops_(std::move(ops)) {}
+  std::string name() const override { return "scripted-plane"; }
+  std::unique_ptr<plane::PlaneAgentProgram> make_program(
+      int agent, int) const override {
+    class P final : public plane::PlaneAgentProgram {
+     public:
+      explicit P(std::vector<plane::PlaneOp> ops) : ops_(std::move(ops)) {}
+      plane::PlaneOp next(rng::Rng&) override {
+        if (i_ < ops_.size()) return ops_[i_++];
+        out_ = !out_;
+        if (out_) return plane::GoToPoint{plane::Vec2{-5.0, -5.0}};
+        return plane::ReturnHome{};
+      }
+
+     private:
+      std::vector<plane::PlaneOp> ops_;
+      std::size_t i_ = 0;
+      bool out_ = false;
+    };
+    return std::make_unique<P>(ops_[static_cast<std::size_t>(agent) %
+                                    ops_.size()]);
+  }
+
+ private:
+  std::vector<std::vector<plane::PlaneOp>> ops_;
+};
+
+TEST(BatchRunnerPlane, SightingOnAMovesFirstPointCountsLikeTheHeap) {
+  // The line from (24, 4) ends inside the sight disc of the target at
+  // (20, 0) — but on its rim, where the quadratic's root rounds past the
+  // line's end, so the sighting only registers at the start of the NEXT
+  // move. Agents 0 and 1 both make that sighting at the same time T; the
+  // heap runs agent 0's next move, finds the target, and stops before
+  // agent 1's. Agent 2 shuttles far away until then.
+  const plane::Vec2 rim{20.92736430052042, -0.37415966394077271};
+  const std::vector<plane::PlaneOp> approach = {
+      plane::GoToPoint{plane::Vec2{24.0, 4.0}}, plane::GoToPoint{rim},
+      plane::ReturnHome{}};
+  const ScriptedPlaneStrategy scripts({approach, approach, {}});
+  TrialStrategy s;
+  s.plane = &scripts;
+  TrialEnvironment env;
+  env.plane_targets = {{20.0, 0.0}};
+  EngineConfig config;
+  config.time_cap = 1'000;
+  const rng::Rng trial_rng(4);
+  const TrialResult want = run_trial(s, 3, env, trial_rng, config);
+  ASSERT_TRUE(want.found);
+  EXPECT_EQ(want.finder, 0);
+  EXPECT_EQ(want.time, plane::Vec2(24.0, 4.0).norm() +
+                           (rim - plane::Vec2{24.0, 4.0}).norm());
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    BatchRunner runner(s, 3, config);
+    EXPECT_SAME_RESULT(want, runner.run_one(env, trial_rng));
   }
 }
 

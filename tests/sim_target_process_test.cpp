@@ -548,6 +548,42 @@ TEST(TargetProcess, BatchRunnerBreaksOriginArrivalTiesLikeTheHeap) {
   }
 }
 
+TEST(TargetProcess, BatchRunnerMatchesOriginArrivalTiesAcrossEpochs) {
+  // Target A sits on the origin and appears at T = x + 1; agent 0 wakes up
+  // on it at T after two zero-duration spirals. Target B at (x, 1) falls to
+  // agent 1 at T, from a segment starting at x. Whether agent 0's first
+  // segments run before agent 1's segment depends on where the executor's
+  // scheduling boundaries fall, so x sweeps a range: the heap counts agent
+  // 0's first segment at T only in collect-all mode (target A is still open
+  // there), never its later ones, and in the first-find race it credits
+  // agent 1.
+  for (std::int64_t x = 4; x <= 120; ++x) {
+    const testing::PerAgentScriptedStrategy scripts(
+        {{sim::SpiralFor{0}, sim::SpiralFor{0}, sim::GoTo{Point{0, -9}}},
+         {sim::GoTo{Point{x, 0}}, sim::GoTo{Point{x, 2}}}});
+    sim::TrialStrategy s;
+    s.segment = &scripts;
+    for (const bool collect : {false, true}) {
+      TrialEnvironment env;
+      env.targets = {Point{0, 0}, Point{x, 1}};
+      env.target_appear = {static_cast<double>(x + 1), 0.0};
+      env.target_vanish = {1e9, 1e9};
+      env.starts = {x + 1, 0};
+      env.collect_all = collect;
+      EngineConfig config;
+      config.time_cap = 1000;
+      const rng::Rng trial_rng(9);
+      const TrialResult want = run_trial(scripts, 2, env, trial_rng, config);
+      EXPECT_EQ(want.finder, collect ? 0 : 1);
+      sim::batch::BatchRunner runner(s, 2, config);
+      expect_same_result(runner.run_one(env, trial_rng), want);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "x = " << x << (collect ? " collect-all" : " first-find");
+      }
+    }
+  }
+}
+
 TEST(TargetProcess, BatchRunnerCountsPlaneDynamicDelegation) {
   using sim::batch::SimdLevel;
   const plane::PlaneKnownKStrategy plane_known(3);
