@@ -115,6 +115,22 @@ void BM_UnifiedTrialSync(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedTrialSync)->Args({16, 64})->Args({64, 256});
 
+// The uniform algorithm (eps = 0.3) at the paper's large-k scale (E3,
+// D = 32): hundreds of thousands of segments per trial, so the cost of
+// deciding which agent moves next shows up against the cost of moving it.
+void BM_UnifiedTrialUniform(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const ants::core::UniformStrategy strategy(0.3);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({32, 0}), trial);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_UnifiedTrialUniform)->Arg(256)->Arg(1024);
+
 // Full async/crash trial: environment draw + segment backend with
 // starts/lifetimes live.
 void BM_UnifiedTrialAsync(benchmark::State& state) {
@@ -239,6 +255,22 @@ void BM_BatchedTrialSync(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchedTrialSync)->Args({16, 64})->Args({64, 256});
+
+void BM_BatchedTrialUniform(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const ants::core::UniformStrategy strategy(0.3);
+  ants::sim::TrialStrategy ts;
+  ts.segment = &strategy;
+  ants::sim::batch::BatchRunner runner(ts, k, {});
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    const auto r =
+        runner.run_one(ants::sim::single_target_environment({32, 0}), trial);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_BatchedTrialUniform)->Arg(256)->Arg(1024);
 
 void BM_BatchedTrialAsync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
