@@ -178,7 +178,13 @@ class BatchRunner {
   std::vector<EpochRun> runs_;        ///< the current epoch's agent runs
   std::vector<std::uint32_t> starts_;  ///< grid segment starts, as offsets
                                        ///< from the epoch floor
+  std::vector<Time> wide_starts_;      ///< grid starts of epochs too wide
+                                       ///< for uint32 offsets
   std::vector<double> pstarts_;        ///< plane segment starts
+  /// Starts recorded in the current epoch (one of the three is in use).
+  std::size_t epoch_records() const noexcept {
+    return starts_.size() + wide_starts_.size() + pstarts_.size();
+  }
 
   // Lock-step backend.
   std::vector<std::unique_ptr<StepProgram>> step_programs_;

@@ -516,6 +516,21 @@ TEST(BatchRunnerSegment, SaturatedClocksMatchRunTrial) {
                                    static_cast<std::uint64_t>(10 * mode + k));
     }
   }
+
+  // Agent 1 reaches (0, 15) at kTimeCap from a segment that starts before
+  // it; agent 0 reaches (30, 5) at kTimeCap from a segment starting at
+  // kTimeCap. The heap runs agent 1's segment first and never agent 0's,
+  // so the higher index wins the tie.
+  const testing::PerAgentScriptedStrategy tie_scripts(
+      {{GoTo{grid::Point{30, 0}}, GoTo{grid::Point{30, 20}}},
+       {GoTo{grid::Point{0, 30}}}});
+  TrialStrategy ts;
+  ts.segment = &tie_scripts;
+  TrialEnvironment env = base_env({{0, 15}, {30, 5}});
+  env.starts = {util::kTimeCap - 20, util::kTimeCap - 10};
+  const TrialResult want = run_trial(ts, 2, env, rng::Rng(1), EngineConfig{});
+  EXPECT_EQ(want.finder, 1);
+  expect_same_outcome_or_throw(ts, 2, env, EngineConfig{}, 1);
 }
 
 // --- randomized scripted races ------------------------------------------------
