@@ -101,10 +101,15 @@ Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
                                   const Clock& bound, Step&& step,
                                   std::int64_t* segments, int* crashed) {
   constexpr bool kGrid = std::is_integral_v<Clock>;
-  runs_.clear();
-  starts_.clear();
-  wide_starts_.clear();
-  pstarts_.clear();
+  const auto clear_log = [this] {
+    runs_.clear();
+    starts_.clear();
+    wide_starts_.clear();
+    pstarts_.clear();
+    repeats_.clear();
+    epoch_segments_ = 0;
+  };
+  clear_log();
   if (live_.empty()) return Clock{};
   Clock floor = clock[live_.front()];
   for (const std::uint32_t a : live_) floor = std::min(floor, clock[a]);
@@ -116,8 +121,30 @@ Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
     // unless clocks are so large (past ~2^35) that the span overflows them.
     const bool wide =
         kGrid && ceiling - floor > std::numeric_limits<std::uint32_t>::max();
+    clear_log();
+    std::size_t run_first = 0;  // the current agent's first log entry
+    // A start equal to the previous one of the same agent (a zero-duration
+    // or saturated segment) extends that entry's repeat count, so an agent
+    // stalled on one clock until the segment budget trips costs no memory.
     const auto record = [&](Clock start) {
-      if constexpr (kGrid) {
+      const std::size_t n =
+          starts_.size() + wide_starts_.size() + pstarts_.size();
+      bool repeat = false;
+      if (n > run_first) {
+        if constexpr (kGrid) {
+          repeat = wide ? wide_starts_.back() == start
+                        : floor + static_cast<Clock>(starts_.back()) == start;
+        } else {
+          repeat = pstarts_.back() == start;
+        }
+      }
+      if (repeat) {
+        const auto entry = static_cast<std::uint32_t>(n - 1);
+        if (repeats_.empty() || repeats_.back().entry != entry) {
+          repeats_.push_back(EpochRepeat{entry, 0});
+        }
+        ++repeats_.back().extra;
+      } else if constexpr (kGrid) {
         if (wide) {
           wide_starts_.push_back(start);
         } else {
@@ -126,16 +153,14 @@ Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
       } else {
         pstarts_.push_back(start);
       }
+      ++epoch_segments_;
     };
-    runs_.clear();
-    starts_.clear();
-    wide_starts_.clear();
-    pstarts_.clear();
     Clock next_floor = std::numeric_limits<Clock>::max();
     std::size_t kept = 0;
     for (std::size_t li = 0; li < live_.size(); ++li) {
       const std::uint32_t a = live_[li];
       if (acts(clock[a], std::min(ceiling, bound))) {
+        run_first = starts_.size() + wide_starts_.size() + pstarts_.size();
         bool died = false;
         bool refused = false;
         do {
@@ -150,8 +175,10 @@ Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
             break;
           }
         } while (acts(clock[a], std::min(ceiling, bound)));
-        runs_.push_back(EpochRun{a, static_cast<std::uint32_t>(epoch_records()),
-                                 died, refused});
+        const auto entries =
+            starts_.size() + wide_starts_.size() + pstarts_.size();
+        runs_.push_back(EpochRun{a, static_cast<std::uint32_t>(entries),
+                                 epoch_segments_, died, refused});
         if (died || refused) continue;
       }
       live_[kept++] = a;
@@ -164,7 +191,7 @@ Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
       if (run.refused) throw std::runtime_error(budget_error(Clock{}));
       *crashed += run.crashed ? 1 : 0;
     }
-    *segments += static_cast<std::int64_t>(epoch_records());
+    *segments += static_cast<std::int64_t>(epoch_segments_);
     floor = next_floor;
   }
 }
@@ -172,31 +199,48 @@ Clock BatchRunner::advance_epochs(const std::vector<Clock>& clock,
 template <typename Clock, typename Inside>
 void BatchRunner::settle_final_epoch(Clock floor, Inside inside,
                                      Clock tie_time, int tie_agent,
-                                     std::size_t tie_last,
+                                     std::uint64_t tie_last,
                                      std::int64_t* segments,
                                      int* crashed) const {
-  std::size_t i = 0;
+  std::size_t entry = 0;
+  std::size_t rep = 0;
+  std::uint64_t seg = 0;  // epoch ordinal of the entry's first segment
   for (const EpochRun& run : runs_) {
     const int a = static_cast<int>(run.agent);
     // An agent's starts never decrease, so once one falls outside, the rest
     // of its run does too.
-    for (; i < run.end; ++i) {
+    for (; entry < run.entries_end; ++entry) {
+      std::uint64_t n = 1;  // segments starting at this entry's start
+      if (rep < repeats_.size() && repeats_[rep].entry == entry) {
+        n += repeats_[rep++].extra;
+      }
       Clock start;
       if constexpr (std::is_integral_v<Clock>) {
-        start = wide_starts_.empty() ? floor + static_cast<Clock>(starts_[i])
-                                     : wide_starts_[i];
+        start = wide_starts_.empty()
+                    ? floor + static_cast<Clock>(starts_[entry])
+                    : wide_starts_[entry];
       } else {
-        start = pstarts_[i];
+        start = pstarts_[entry];
       }
-      const bool tie = start == tie_time &&
-                       (a < tie_agent || (a == tie_agent && i <= tie_last));
-      if (!inside(start) && !tie) break;
-      const bool last = i + 1 == run.end;
-      if (last && run.refused) throw std::runtime_error(budget_error(Clock{}));
-      ++*segments;
-      if (last && run.crashed) ++*crashed;
+      std::uint64_t counted = 0;
+      if (inside(start) || (start == tie_time && a < tie_agent)) {
+        counted = n;
+      } else if (start == tie_time && a == tie_agent && tie_last >= seg) {
+        counted = std::min(n, tie_last - seg + 1);
+      }
+      if (seg + counted == run.end) {  // the run's last segment counts
+        if (run.refused) throw std::runtime_error(budget_error(Clock{}));
+        if (run.crashed) ++*crashed;
+      }
+      *segments += static_cast<std::int64_t>(counted);
+      seg += n;
+      if (counted < n) break;
     }
-    i = run.end;
+    while (rep < repeats_.size() && repeats_[rep].entry < run.entries_end) {
+      ++rep;
+    }
+    entry = run.entries_end;
+    seg = run.end;
   }
 }
 
@@ -280,7 +324,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   bool best_on_first_node = false;
   int finder = -1;
   int first_target = -1;
-  std::size_t best_record = 0;    // epoch record of the best hit's segment
+  std::uint64_t best_record = 0;  // epoch ordinal of the best hit's segment
   Time bound = config_.time_cap;  // min(cap, best - 1)
 
   const auto step = [&](std::uint32_t ia) {
@@ -304,7 +348,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         best_on_first_node = on_first;
         finder = a;
         first_target = static_cast<int>(ti);
-        best_record = epoch_records() - 1;
+        best_record = epoch_segments_ - 1;
         bound = std::min(config_.time_cap, best - 1);
       }
     };
@@ -497,7 +541,7 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
         }
         best = when_abs;
         finder = a;
-        if (on_first) zrecord_t_[ti] = epoch_records() - 1;
+        if (on_first) zrecord_t_[ti] = epoch_segments_ - 1;
       }
     };
 
@@ -599,12 +643,12 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
   // only on a first node falls; first-find: after the first such hit, and
   // only if no hit at T lies past a first node.
   int tie_agent = -1;
-  std::size_t tie_last = 0;
+  std::uint64_t tie_last = 0;
   for (std::size_t ti = 0; ti < nt && decisive != kNeverTime; ++ti) {
     if (zbest_t_[ti] != decisive || best_t_[ti] <= decisive) continue;
     if (!collect && past_first_at_decisive) break;
     const int f = zfinder_t_[ti];
-    const std::size_t r = zrecord_t_[ti];
+    const std::uint64_t r = zrecord_t_[ti];
     if (tie_agent < 0 || (collect ? f > tie_agent : f < tie_agent)) {
       tie_agent = f;
       tie_last = r;
@@ -1106,7 +1150,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     bool best_on_first_node = false;
     int finder = -1;
     int first_target = -1;
-    std::size_t best_record = 0;  // epoch record of the best hit's move
+    std::uint64_t best_record = 0;  // epoch ordinal of the best hit's move
     plane::Time bound = pconfig.time_cap;  // min(cap, best)
 
     const auto step = [&](std::uint32_t ia) {
@@ -1130,7 +1174,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
           best_on_first_node = on_first;
           finder = a;
           first_target = static_cast<int>(ti);
-          best_record = epoch_records() - 1;
+          best_record = epoch_segments_ - 1;
           bound = std::min(pconfig.time_cap, best);
         }
       };

@@ -120,11 +120,11 @@ class BatchRunner {
   /// those whose start is `inside` the final bound, plus — when the heap
   /// also ran segments starting at the decisive time `tie_time`
   /// (tie_agent >= 0) — those of the agents below tie_agent and
-  /// tie_agent's up to epoch record `tie_last`. Throws the segment budget
+  /// tie_agent's up to epoch ordinal `tie_last`. Throws the segment budget
   /// error when such a segment was the one refused.
   template <typename Clock, typename Inside>
   void settle_final_epoch(Clock floor, Inside inside, Clock tie_time,
-                          int tie_agent, std::size_t tie_last,
+                          int tie_agent, std::uint64_t tie_last,
                           std::int64_t* segments, int* crashed) const;
 
   /// spiral_theta_for_arc(a, s) through a small direct-mapped memo. The
@@ -156,7 +156,7 @@ class BatchRunner {
   std::vector<int> finder_t_;           ///<   past a segment's first node
   std::vector<std::int64_t> zbest_t_;   ///< segment: per-target earliest hit
   std::vector<int> zfinder_t_;          ///<   on a segment's first node, and
-  std::vector<std::uint32_t> zrecord_t_;  ///< its epoch record
+  std::vector<std::uint64_t> zrecord_t_;  ///< its epoch ordinal
   std::vector<std::int64_t> held_;      ///< dwell contact clocks, uk * nt
   std::vector<std::uint32_t> confirm_;  ///< dwell_advance output buffer
 
@@ -167,24 +167,28 @@ class BatchRunner {
   std::vector<std::int64_t> pos_x_, pos_y_;
   std::vector<std::int64_t> seg_count_;
 
-  // Epoch advance (segment and plane backends).
+  // Epoch advance (segment and plane backends): the current epoch's log of
+  // segment starts, one entry per distinct start of an agent's run.
   struct EpochRun {
     std::uint32_t agent;
-    std::uint32_t end;  ///< one past its last entry in the epoch's starts
-    bool crashed;       ///< its last segment ended its lifetime
-    bool refused;       ///< its last entry is a start the budget refused
+    std::uint32_t entries_end;  ///< one past its last log entry
+    std::uint64_t end;          ///< one past its last segment's ordinal
+    bool crashed;               ///< its last segment ended its lifetime
+    bool refused;               ///< its last segment is one the budget refused
+  };
+  struct EpochRepeat {
+    std::uint32_t entry;  ///< log entry shared by consecutive segments
+    std::uint64_t extra;  ///< segments beyond the first starting there
   };
   std::vector<std::uint32_t> live_;   ///< agents still advancing
   std::vector<EpochRun> runs_;        ///< the current epoch's agent runs
-  std::vector<std::uint32_t> starts_;  ///< grid segment starts, as offsets
-                                       ///< from the epoch floor
+  std::vector<std::uint32_t> starts_;  ///< grid starts, as offsets from the
+                                       ///< epoch floor
   std::vector<Time> wide_starts_;      ///< grid starts of epochs too wide
                                        ///< for uint32 offsets
-  std::vector<double> pstarts_;        ///< plane segment starts
-  /// Starts recorded in the current epoch (one of the three is in use).
-  std::size_t epoch_records() const noexcept {
-    return starts_.size() + wide_starts_.size() + pstarts_.size();
-  }
+  std::vector<double> pstarts_;        ///< plane starts
+  std::vector<EpochRepeat> repeats_;   ///< repeated starts, by entry
+  std::uint64_t epoch_segments_ = 0;   ///< segments run in the epoch
 
   // Lock-step backend.
   std::vector<std::unique_ptr<StepProgram>> step_programs_;

@@ -533,6 +533,33 @@ TEST(BatchRunnerSegment, SaturatedClocksMatchRunTrial) {
   expect_same_outcome_or_throw(ts, 2, env, EngineConfig{}, 1);
 }
 
+TEST(BatchRunnerSegment, BudgetThrowParityForAStalledAgent) {
+  // Agent 0 wakes up at t = 12 and then spins on zero-length spirals
+  // forever; agent 1 reaches the target at t = 12 from a segment starting
+  // at t = 11. The heap never runs agent 0, so neither executor may throw
+  // — even though agent 0, the lower index, may stall through its whole
+  // budget before agent 1's hit is known. Starting agent 0 at t = 11
+  // instead puts its stall inside the race, and both must throw.
+  std::vector<Op> stall(64, SpiralFor{0});
+  const testing::PerAgentScriptedStrategy scripts(
+      {stall, {GoTo{grid::Point{11, 0}}, GoTo{grid::Point{11, 2}}}});
+  TrialStrategy s;
+  s.segment = &scripts;
+  EngineConfig config;
+  config.max_segments_per_agent = 60;
+  for (const Time wake : {Time{12}, Time{11}}) {
+    TrialEnvironment env = base_env({{11, 1}});
+    env.starts = {wake, 0};
+    expect_same_outcome_or_throw(s, 2, env, config, 5);
+    if (wake == 12) {
+      EXPECT_TRUE(run_trial(s, 2, env, rng::Rng(5), config).found);
+    } else {
+      EXPECT_THROW(run_trial(s, 2, env, rng::Rng(5), config),
+                   std::runtime_error);
+    }
+  }
+}
+
 // --- randomized scripted races ------------------------------------------------
 //
 // Agents that wander a tiny board with random ops (zero-duration ops and
