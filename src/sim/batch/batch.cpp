@@ -255,9 +255,9 @@ void BatchRunner::settle_final_epoch(Clock floor, Inside inside,
 // target). The second key is the heap's order at the decisive time T: it
 // pops every segment starting before T — so every hit at T past a first
 // node — before any segment starting at T, and once the bound drops below
-// T it pops none of those. A hit ON the first node of a segment starting
-// at T (an agent waking up on a target, a target appearing under a resting
-// agent) only counts when no hit at T lies past a first node.
+// T it pops none of those. A hit at the start time of its segment (a
+// target appearing under a resting agent, a clock saturated at
+// util::kTimeCap) only counts when no hit at T lies past a first node.
 
 void BatchRunner::start_segment_agents(const TrialEnvironment& env,
                                        const rng::Rng& trial_rng,
@@ -620,8 +620,8 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
   const Time floor =
       advance_epochs(clock_, bound, step, &result.segments, &result.crashed);
 
-  // The decisive time T and, when the heap ran segments starting at T, the
-  // last agent it ran them for (see the section comment).
+  // The decisive time T: the first find, or in collect-all mode the time
+  // the last target falls.
   std::size_t n_found = 0;
   Time t_all = 0;
   Time t_first = kNeverTime;
@@ -634,19 +634,16 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
   }
   const bool all_found = collect ? n_found == nt : n_found > 0;
   const Time decisive = !all_found ? kNeverTime : collect ? t_all : t_first;
-  bool past_first_at_decisive = false;
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    past_first_at_decisive =
-        past_first_at_decisive || best_t_[ti] == decisive;
-  }
-  // Collect-all: the heap stops after the last of the targets found at T
-  // only on a first node falls; first-find: after the first such hit, and
-  // only if no hit at T lies past a first node.
+  // Targets found at T only on a first node: the heap ran segments starting
+  // at T up to tie_agent's hit at epoch ordinal tie_last — the last such
+  // target's in collect-all mode, the first such hit in the first-find race
+  // (and there only if no hit at T lies past a first node).
   int tie_agent = -1;
   std::uint64_t tie_last = 0;
+  bool past_first = false;
   for (std::size_t ti = 0; ti < nt && decisive != kNeverTime; ++ti) {
+    past_first = past_first || best_t_[ti] == decisive;
     if (zbest_t_[ti] != decisive || best_t_[ti] <= decisive) continue;
-    if (!collect && past_first_at_decisive) break;
     const int f = zfinder_t_[ti];
     const std::uint64_t r = zrecord_t_[ti];
     if (tie_agent < 0 || (collect ? f > tie_agent : f < tie_agent)) {
@@ -656,6 +653,7 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
       tie_last = collect ? std::max(tie_last, r) : std::min(tie_last, r);
     }
   }
+  if (!collect && past_first) tie_agent = -1;
   settle_final_epoch(
       floor, [bound](Time s) { return s <= bound; }, decisive, tie_agent,
       tie_last, &result.segments, &result.crashed);

@@ -9,19 +9,13 @@
 // (lock-step occupancy checks, plane sight-disc tests, dynamic-target
 // gates) through the runtime-dispatched kernels in kernels.h.
 //
-// The segment and plane backends replace the scalar heap's global min-clock
-// interleave with epoch advance: each epoch walks the live agents in index
-// order, and each agent runs its own segments back to back while its clock
-// is within both the epoch ceiling and the current bound; the ceiling grows
-// by a constant factor until the bound falls inside it. No agent ever waits
-// on another, because agents never interact: the outcome is a minimum over
-// hits keyed by (time, hit past its segment's first node, agent, target) —
-// the order the heap would have reached them in — and a minimum does not
-// depend on the order its candidates arrive in. The bound only shrinks, and
-// a hit never precedes its segment's start, so every segment the heap would
-// run is run here; the extra segments of the last epoch are reconciled away
-// by their recorded starts, leaving `segments`, `crashed`, and the segment
-// budget check counted over exactly the heap's segments.
+// The segment and plane backends schedule agents by epoch advance, not the
+// scalar executor's min-clock heap: each epoch runs every live agent, in
+// index order, back to back up to min(ceiling, bound). Agents never
+// interact, so results are order-independent minima over hits ranked in
+// the order the heap reaches them (time, past the segment's first node,
+// agent, target), and `segments`, `crashed` and the segment budget error
+// are reconciled to the final bound from the last epoch's recorded starts.
 //
 // Batching is strictly an execution detail. Per-trial seed derivation is
 // unchanged — agent a still draws from trial_rng.child(a), environments
