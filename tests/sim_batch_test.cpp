@@ -560,7 +560,7 @@ TEST(BatchRunnerSegment, BudgetThrowParityForAStalledAgent) {
   }
 }
 
-// --- randomized scripted races ------------------------------------------------
+// --- randomized scripted races ----------------------------------------------
 //
 // Agents that wander a tiny board with random ops (zero-duration ops and
 // revisits included) over a handful of targets produce every tie the
@@ -628,8 +628,8 @@ TEST(BatchRunnerSegment, RandomScriptedRacesMatchRunTrial) {
       if (mode != 0) {
         const double appear = static_cast<double>(draw.uniform_int(0, 30));
         env.target_appear.push_back(appear);
-        env.target_vanish.push_back(appear +
-                                    static_cast<double>(draw.uniform_int(1, 60)));
+        const auto life = static_cast<double>(draw.uniform_int(1, 60));
+        env.target_vanish.push_back(appear + life);
       }
     }
     env.windowed = mode != 0;

@@ -520,34 +520,6 @@ TEST(TargetProcess, BatchRunnerMatchesScalarOnDynamicEnvsAtLargeK) {
   }
 }
 
-TEST(TargetProcess, BatchRunnerBreaksOriginArrivalTiesLikeTheHeap) {
-  // A windowed target on the origin appears at t = 10. Agent 0 wakes up on
-  // it at t = 10 (a hit at its first segment's first node); agent 1 walks
-  // back onto it at t = 10 from a segment that started at t = 5. The heap
-  // pops agent 1's segment first, so in the first-of-set race agent 1 wins
-  // and agent 0 never acts; in collect-all mode the far target keeps the
-  // race open, agent 0 acts and the lower index takes the origin target.
-  const testing::PerAgentScriptedStrategy scripts(
-      {{sim::GoTo{Point{0, 9}}}, {sim::GoTo{Point{5, 0}}, sim::ReturnToSource{}}});
-  for (const bool collect : {false, true}) {
-    TrialEnvironment env;
-    env.targets = {Point{0, 0}, Point{0, 9}};
-    env.target_appear = {10.0, 0.0};
-    env.target_vanish = {1000.0, 1000.0};
-    env.starts = {10, 0};
-    env.collect_all = collect;
-    EngineConfig config;
-    config.time_cap = 100;
-    sim::TrialStrategy s;
-    s.segment = &scripts;
-    const rng::Rng trial_rng(3);
-    const TrialResult want = run_trial(scripts, 2, env, trial_rng, config);
-    EXPECT_EQ(want.finder, collect ? 0 : 1);
-    sim::batch::BatchRunner runner(s, 2, config);
-    expect_same_result(runner.run_one(env, trial_rng), want);
-  }
-}
-
 TEST(TargetProcess, BatchRunnerMatchesOriginArrivalTiesAcrossEpochs) {
   // Target A sits on the origin and appears at T = x + 1; agent 0 wakes up
   // on it at T after two zero-duration spirals. Target B at (x, 1) falls to
