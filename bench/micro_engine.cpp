@@ -482,6 +482,56 @@ void BM_BatchedTrialStochasticCollect(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedTrialStochasticCollect)->Arg(4)->Arg(16);
 
+// Poisson sight discs + collect-all on the plane backend: the campaign's
+// plane-dynamic cells (D = 8, rate 0.01, mean life 1000, cap 4000), which
+// the batch executor used to hand to the scalar heap loop.
+void BM_UnifiedTrialPlaneCollect(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const ants::plane::PlaneKnownKStrategy strategy(k);
+  const ants::sim::TargetProcess process = ants::sim::poisson_plane_targets(
+      0.01, 1000.0, [](ants::rng::Rng& rng) { return rng.angle(); });
+  ants::sim::EngineConfig config;
+  config.time_cap = 4000;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    ants::sim::TrialEnvironment env;
+    {
+      ants::rng::Rng realize(trial.seed());
+      process.plane(realize, 8, config.time_cap, &env);
+    }
+    env.collect_all = true;
+    const auto r = ants::sim::run_trial(strategy, k, env, trial, config);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_UnifiedTrialPlaneCollect)->Arg(4)->Arg(16);
+
+void BM_BatchedTrialPlaneCollect(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const ants::plane::PlaneKnownKStrategy strategy(k);
+  const ants::sim::TargetProcess process = ants::sim::poisson_plane_targets(
+      0.01, 1000.0, [](ants::rng::Rng& rng) { return rng.angle(); });
+  ants::sim::EngineConfig config;
+  config.time_cap = 4000;
+  ants::sim::TrialStrategy ts;
+  ts.plane = &strategy;
+  ants::sim::batch::BatchRunner runner(ts, k, config);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    ants::sim::TrialEnvironment env;
+    {
+      ants::rng::Rng realize(trial.seed());
+      process.plane(realize, 8, config.time_cap, &env);
+    }
+    env.collect_all = true;
+    const auto r = runner.run_one(env, trial);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_BatchedTrialPlaneCollect)->Arg(4)->Arg(16);
+
 // --- sweep executor telemetry overhead --------------------------------------
 
 // The telemetry hooks' zero-cost-when-disabled contract (telemetry/metrics.h)

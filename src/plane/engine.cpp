@@ -1,6 +1,7 @@
 #include "plane/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -37,6 +38,13 @@ void validate_plane_trial_args(int k, const PlaneTrialEnvironment& env,
   if (k < 1) throw std::invalid_argument("run_plane_trial: need k >= 1");
   if (!(config.sight_radius > 0)) {
     throw std::invalid_argument("run_plane_trial: sight_radius > 0");
+  }
+  // Gap-free coverage; a pitch far above eps also stalls the spiral scan's
+  // fixed angular step below the resolution of its angles.
+  if (!(std::isfinite(config.spiral_pitch) && config.spiral_pitch > 0 &&
+        config.spiral_pitch <= 2.0 * config.sight_radius)) {
+    throw std::invalid_argument(
+        "run_plane_trial: need 0 < spiral_pitch <= 2 * sight_radius");
   }
   if (env.targets.empty() && !env.has_target_windows()) {
     // A windowed process (Poisson arrivals) may spawn zero targets.

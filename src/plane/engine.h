@@ -49,7 +49,7 @@ class PlaneStrategy {
 
 struct PlaneEngineConfig {
   double sight_radius = 1.0;  ///< the paper's eps
-  double spiral_pitch = 1.0;  ///< <= 2 * sight_radius for gap-free coverage
+  double spiral_pitch = 1.0;  ///< in (0, 2 * sight_radius]: gap-free coverage
   Time time_cap = kPlaneNever;
   std::int64_t max_segments_per_agent = 50'000'000;
 };
@@ -131,7 +131,8 @@ struct PlaneTrialResult {
 /// single-target environment this is exactly the historical
 /// run_plane_search (which is now a wrapper over it). Throws
 /// std::invalid_argument on k < 1, an empty target set, environment vectors
-/// of the wrong size, or a non-positive sight radius.
+/// of the wrong size, a non-positive sight radius, or a spiral pitch that is
+/// not finite and in (0, 2 * sight_radius].
 PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
                                  const PlaneTrialEnvironment& env,
                                  const rng::Rng& trial_rng,

@@ -10,10 +10,12 @@
 //               quadratic (exact, O(1)).
 //   SpiralMove  Archimedean spiral r = a*theta around a center, pitch
 //               2*pi*a <= 2*eps so successive coils leave no blind ring;
-//               first sighting is located by walking the O(1) candidate
-//               coil passes near the treasure's angle and bisecting the
-//               earliest entry into the sight disk (numeric, validated
-//               against dense path sampling in tests).
+//               first sighting is located by bisecting the earliest entry
+//               into the sight disk, found near the center by a fixed-step
+//               scan that evaluates only points within the angular window
+//               around the treasure's bearing, and farther out by a ternary
+//               search per coil pass (numeric, validated against dense path
+//               sampling in tests).
 //
 // Durations and hit offsets are arc lengths == travel times (unit speed).
 #pragma once
@@ -84,8 +86,26 @@ std::optional<Time> line_first_sighting(const LineMove& line, Vec2 target,
 /// test, and the batch kernels evaluate one spiral against many targets —
 /// memoizing theta_end there and passing it here keeps results
 /// byte-identical while paying for the solve once per move.
+///
+/// `theta_begin` > 0 starts the scan at that angle instead of the center
+/// (the appear-window test); the caller must have established that the
+/// spiral point at theta_begin is outside the sight disc.
 std::optional<Time> spiral_first_sighting_at(const SpiralMove& sp, Vec2 target,
-                                             double eps, double theta_end);
+                                             double eps, double theta_end,
+                                             double theta_begin = 0.0);
+
+/// The SpiralMove case of first_sighting_from for 0 < from < duration, with
+/// both angles supplied: theta_from = spiral_theta_for_arc(a, from) and
+/// theta_end as above (a = pitch / 2pi).
+std::optional<Time> spiral_first_sighting_from_at(const SpiralMove& sp,
+                                                  Vec2 target, double eps,
+                                                  Time from, double theta_from,
+                                                  double theta_end);
+
+/// The LineMove case of first_sighting_from for 0 < from < length.
+std::optional<Time> line_first_sighting_from(const LineMove& line,
+                                             Vec2 target, double eps,
+                                             Time from);
 
 // --- Archimedean spiral math (exposed for tests) ---------------------------
 

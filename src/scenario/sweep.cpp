@@ -443,8 +443,8 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
           }
         }
 
-        // Drain the runner's delegation count once per block (plane dynamic
-        // cells are the only source — grid dynamic environments batch).
+        // Drain the runner's delegation count once per block (zero for
+        // every spec-driven cell; a nonzero count is a routing regression).
         const std::uint64_t fallbacks = cache.runner->take_scalar_fallbacks();
         if (tel != nullptr && fallbacks > 0) {
           tel->record_batch_scalar_fallback(fallbacks);

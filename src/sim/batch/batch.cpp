@@ -68,18 +68,7 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
                                  const rng::Rng& trial_rng) {
   kernels_ = &kernels_for(active_simd_level());
   detail::validate_trial_args(strategy_, k_, env);
-  if (strategy_.plane != nullptr) {
-    if (env.has_dynamic_targets()) {
-      // Plane windowed/collect cells delegate: their dynamic race lives
-      // inside plane::run_plane_trial's heap loop, where the quadratic sight
-      // tests dominate — rebuilding that loop here buys little. Counted
-      // (batch_scalar_fallback metric) so the delegation is observable
-      // instead of silent; run_one ≡ run_trial holds trivially.
-      ++scalar_fallbacks_;
-      return run_trial(strategy_, k_, env, trial_rng, config_);
-    }
-    return run_plane(env, trial_rng);
-  }
+  if (strategy_.plane != nullptr) return run_plane(env, trial_rng);
   if (strategy_.step != nullptr) return run_step(env, trial_rng);
   return run_segment(env, trial_rng);
 }
@@ -1050,12 +1039,22 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
 }
 
 // ---------------------------------------------------------------------------
-// Plane backend: the continuous heap sweep (plane/engine.cpp) run as epoch
-// advance — the heap runs a move iff its start is strictly below the bound
-// min(cap, best), and hits rank as in the segment backend — with line sight
-// tests prefiltered by the line_candidates kernel (every candidate
-// re-checked by the scalar quadratic) and the per-move spiral Newton solve
-// memoized.
+// Plane backend: the continuous heap sweeps (plane/engine.cpp, static and
+// dynamic) run as epoch advance — the heap runs a move iff its start is
+// strictly below the bound — with line sight tests prefiltered by the
+// line_candidates kernel (every candidate re-checked by the scalar
+// quadratic) and the per-move spiral Newton solve memoized.
+//
+// The first-sighting race keeps one best hit, ranked as in the segment
+// backend: (time, past the move's first point, agent, target); its bound is
+// min(cap, best). Collect-all keeps per-target bests on and past a move's
+// first point with their epoch ordinals, reconciled after the advance as in
+// run_segment_dynamic; its bound is min(cap, the loosest per-target best),
+// the cap while any target is unsighted. Under a target process detection
+// is on sighting only (no home-target shortcut), and a target is skipped
+// before any geometry when it vanished by the move's start, appears only
+// after its end, or (collect-all) was sighted strictly before its start:
+// none of those can yield a hit that counts or improves a best.
 
 double BatchRunner::spiral_theta(double a, double s) {
   std::uint64_t bits = 0;
@@ -1087,6 +1086,10 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
                                        ? plane::kPlaneNever
                                        : static_cast<plane::Time>(life));
   }
+  plane_env_.target_appear = env.target_appear;
+  plane_env_.target_vanish = env.target_vanish;
+  plane_env_.windowed = env.windowed;
+  plane_env_.collect_all = env.collect_all;
 
   plane::PlaneEngineConfig pconfig;
   pconfig.sight_radius = config_.sight_radius;
@@ -1099,161 +1102,270 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
   plane::detail::validate_plane_trial_args(k, plane_env_, pconfig);
   const double eps = pconfig.sight_radius;
   const double a_coef = pconfig.spiral_pitch / plane::kTwoPi;
+  const plane::Time cap = pconfig.time_cap;
+  const bool windows = plane_env_.has_target_windows();
+  const bool collect = plane_env_.collect_all;
+  const bool dynamic = windows || collect;
+  const std::size_t nt = plane_env_.targets.size();
+
+  const auto start_of = [&](std::size_t ia) {
+    return plane_env_.starts.empty() ? plane::Time{0} : plane_env_.starts[ia];
+  };
+  const auto lifetime_of = [&](std::size_t ia) {
+    return plane_env_.lifetimes.empty() ? plane::kPlaneNever
+                                        : plane_env_.lifetimes[ia];
+  };
 
   plane::PlaneTrialResult presult;
   presult.last_start = plane_env_.last_start();
-  const bool resolved = plane::detail::resolve_home_target(
-      plane_env_, k, eps, pconfig.time_cap, &presult);
-  if (!resolved) {
-    const auto start_of = [&](std::size_t ia) {
-      return plane_env_.starts.empty() ? plane::Time{0}
-                                       : plane_env_.starts[ia];
-    };
-    const auto lifetime_of = [&](std::size_t ia) {
-      return plane_env_.lifetimes.empty() ? plane::kPlaneNever
-                                          : plane_env_.lifetimes[ia];
-    };
-
-    plane_programs_.clear();
-    rngs_.clear();
-    for (int a = 0; a < k; ++a) {
-      plane_programs_.push_back(strategy.make_program(a, k));
-      rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
-    }
-    pclock_.assign(uk, 0.0);
-    pelapsed_.assign(uk, 0.0);
-    ppos_x_.assign(uk, 0.0);
-    ppos_y_.assign(uk, 0.0);
-    seg_count_.assign(uk, 0);
-    live_.clear();
+  if (collect) presult.target_times.assign(nt, -1.0);
+  const auto finish = [&presult] {
+    TrialResult result;
+    result.time = presult.time;
+    result.found = presult.found;
+    result.finder = presult.finder;
+    result.first_target = presult.first_target;
+    result.segments = presult.segments;
+    result.last_start = presult.last_start;
+    result.from_last_start = presult.from_last_start;
+    result.crashed = presult.crashed;
+    result.target_times = std::move(presult.target_times);
+    return result;
+  };
+  if (!dynamic && plane::detail::resolve_home_target(plane_env_, k, eps, cap,
+                                                     &presult)) {
+    return finish();
+  }
+  if (collect && nt == 0) {
+    // Zero spawned targets: vacuously all sighted at t = 0; nobody acts.
+    presult.found = true;
+    presult.time = 0;
+    presult.from_last_start = 0;
     for (std::size_t ia = 0; ia < uk; ++ia) {
-      if (lifetime_of(ia) <= 0) {
-        ++presult.crashed;  // dead on arrival: never acts
-        continue;
-      }
-      pclock_[ia] = start_of(ia);
-      live_.push_back(static_cast<std::uint32_t>(ia));
+      if (lifetime_of(ia) <= 0) ++presult.crashed;
     }
+    return finish();
+  }
 
-    const std::size_t nt = plane_env_.targets.size();
-    ptgt_x_.resize(nt);
-    ptgt_y_.resize(nt);
+  plane_programs_.clear();
+  rngs_.clear();
+  for (int a = 0; a < k; ++a) {
+    plane_programs_.push_back(strategy.make_program(a, k));
+    rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
+  }
+  pclock_.assign(uk, 0.0);
+  pelapsed_.assign(uk, 0.0);
+  ppos_x_.assign(uk, 0.0);
+  ppos_y_.assign(uk, 0.0);
+  seg_count_.assign(uk, 0);
+  live_.clear();
+  for (std::size_t ia = 0; ia < uk; ++ia) {
+    if (lifetime_of(ia) <= 0) {
+      ++presult.crashed;  // dead on arrival: never acts
+      continue;
+    }
+    pclock_[ia] = start_of(ia);
+    live_.push_back(static_cast<std::uint32_t>(ia));
+  }
+
+  ptgt_x_.resize(nt);
+  ptgt_y_.resize(nt);
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    ptgt_x_[ti] = plane_env_.targets[ti].x;
+    ptgt_y_[ti] = plane_env_.targets[ti].y;
+  }
+  cand_.resize(nt);
+  if (windows) {
+    // The scalar dynamic loop's defaults: appear at 0, vanish never.
+    app_.resize(nt);
+    van_.resize(nt);
     for (std::size_t ti = 0; ti < nt; ++ti) {
-      ptgt_x_[ti] = plane_env_.targets[ti].x;
-      ptgt_y_[ti] = plane_env_.targets[ti].y;
+      app_[ti] =
+          plane_env_.target_appear.empty() ? 0.0 : plane_env_.target_appear[ti];
+      van_[ti] = plane_env_.target_vanish.empty()
+                     ? plane::kPlaneNever
+                     : plane_env_.target_vanish[ti];
     }
-    cand_.resize(nt);
+  }
 
-    plane::Time best = plane::kPlaneNever;
-    bool best_on_first_node = false;
-    int finder = -1;
-    int first_target = -1;
-    std::uint64_t best_record = 0;  // epoch ordinal of the best hit's move
-    plane::Time bound = pconfig.time_cap;  // min(cap, best)
+  // First-sighting race: the best hit so far.
+  plane::Time best = plane::kPlaneNever;
+  bool best_on_first_node = false;
+  int finder = -1;
+  int first_target = -1;
+  std::uint64_t best_record = 0;  // epoch ordinal of the best hit's move
+  plane::Time bound = cap;
 
-    const auto step = [&](std::uint32_t ia) {
-      const int a = static_cast<int>(ia);
-      const plane::Time start = start_of(ia);
-      const plane::Time life = lifetime_of(ia);
-      const plane::Time move_start = pclock_[ia];
-      const plane::Vec2 pos{ppos_x_[ia], ppos_y_[ia]};
+  // Collect-all: per-target bests past / on a move's first point, and the
+  // loosest of their minima once every target has one.
+  std::size_t n_open = nt;
+  if (collect) {
+    pbest_t_.assign(nt, plane::kPlaneNever);
+    finder_t_.assign(nt, -1);
+    pzbest_t_.assign(nt, plane::kPlaneNever);
+    zfinder_t_.assign(nt, -1);
+    zrecord_t_.assign(nt, 0);
+  }
+  const auto sighted_at = [this](std::size_t ti) {
+    return std::min(pbest_t_[ti], pzbest_t_[ti]);
+  };
+  const auto collect_bound = [&] {
+    plane::Time loosest = 0;
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      loosest = std::max(loosest, sighted_at(ti));
+    }
+    return std::min(cap, loosest);
+  };
 
-      const auto consider = [&](plane::Time hit, std::size_t ti) {
-        const plane::Time when_active = pelapsed_[ia] + hit;
-        if (when_active > life) return;  // only counts while still alive
-        const plane::Time when_abs = start + when_active;
-        if (when_abs > pconfig.time_cap) return;
-        const bool on_first = when_abs == move_start;
-        if (when_abs < best ||
-            (when_abs == best &&
-             ((!on_first && best_on_first_node) ||
-              (on_first == best_on_first_node && a < finder)))) {
-          best = when_abs;
-          best_on_first_node = on_first;
-          finder = a;
-          first_target = static_cast<int>(ti);
-          best_record = epoch_segments_ - 1;
-          bound = std::min(pconfig.time_cap, best);
-        }
-      };
+  const auto step = [&](std::uint32_t ia) {
+    const int a = static_cast<int>(ia);
+    const plane::Time start = start_of(ia);
+    const plane::Time life = lifetime_of(ia);
+    const plane::Time move_start = pclock_[ia];
+    const plane::Vec2 pos{ppos_x_[ia], ppos_y_[ia]};
 
-      const plane::PlaneOp op = plane_programs_[ia]->next(rngs_[ia]);
-      plane::Time move_time = 0;
-      plane::Vec2 end = pos;
-      bool is_line = false;
-      plane::LineMove line{pos, pos};
-      plane::SpiralMove spiral{pos, pconfig.spiral_pitch, 0};
-
-      if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
-        spiral.duration = sw->duration;
-        const double theta_end = spiral_theta(a_coef, spiral.duration);
-        for (std::size_t ti = 0; ti < nt; ++ti) {
-          const auto hit = plane::spiral_first_sighting_at(
-              spiral, plane_env_.targets[ti], eps, theta_end);
-          if (hit) consider(*hit, ti);
-        }
-        move_time = spiral.duration;
-        end = plane::spiral_point_at(spiral.center, a_coef, theta_end);
-      } else {
-        is_line = true;
-        if (const auto* go = std::get_if<plane::GoToPoint>(&op)) {
-          line.to = go->target;
-        } else {
-          line.to = plane::kPlaneOrigin;  // ReturnHome
-        }
-        const plane::Vec2 d = line.to - line.from;
-        const double len = d.norm();
-        if (len == 0.0 || nt < 4) {
-          // Degenerate move (no direction to prefilter along) or too few
-          // targets for the prefilter kernel to pay for its call: the
-          // scalar test covers every target directly.
-          for (std::size_t ti = 0; ti < nt; ++ti) {
-            const auto hit =
-                plane::line_first_sighting(line, plane_env_.targets[ti], eps);
-            if (hit) consider(*hit, ti);
-          }
-        } else {
-          const double inv = 1.0 / len;
-          const std::size_t nc = kernels_->line_candidates(
-              ptgt_x_.data(), ptgt_y_.data(), nt, line.from.x, line.from.y,
-              d.x * inv, d.y * inv, eps, cand_.data());
-          for (std::size_t ci = 0; ci < nc; ++ci) {
-            const std::size_t ti = cand_[ci];
-            const auto hit =
-                plane::line_first_sighting(line, plane_env_.targets[ti], eps);
-            if (hit) consider(*hit, ti);
+    const auto consider = [&](plane::Time hit, std::size_t ti) {
+      const plane::Time when_active = pelapsed_[ia] + hit;
+      if (when_active > life) return;  // only counts while still alive
+      const plane::Time when_abs = start + when_active;
+      if (when_abs > cap) return;
+      // The first in-window sighting at or past vanish means every later
+      // pass is as well (sighting offsets increase along the move).
+      if (windows && when_abs >= van_[ti]) return;
+      const bool on_first = when_abs == move_start;
+      if (collect) {
+        plane::Time& tbest = on_first ? pzbest_t_[ti] : pbest_t_[ti];
+        int& tfinder = on_first ? zfinder_t_[ti] : finder_t_[ti];
+        if (when_abs < tbest || (when_abs == tbest && a < tfinder)) {
+          const plane::Time was = sighted_at(ti);
+          tbest = when_abs;
+          tfinder = a;
+          if (on_first) zrecord_t_[ti] = epoch_segments_ - 1;
+          // The bound moves only when the last open target falls or the
+          // loosest one is sighted earlier.
+          if (was == plane::kPlaneNever) {
+            if (--n_open == 0) bound = collect_bound();
+          } else if (n_open == 0 && when_abs < was && was == bound) {
+            bound = collect_bound();
           }
         }
-        move_time = len;
-        end = line.to;
+        return;
       }
-
-      if (pelapsed_[ia] + move_time >= life) {
-        // Fail-stop: truncate the trajectory at the remaining budget (the
-        // rare path — build the Move variant and reuse the scalar clamp).
-        const plane::Move move =
-            is_line ? plane::Move{line} : plane::Move{spiral};
-        const plane::Vec2 died_at =
-            plane::move_position_at(move, life - pelapsed_[ia]);
-        ppos_x_[ia] = died_at.x;
-        ppos_y_[ia] = died_at.y;
-        pelapsed_[ia] = life;
-        return true;
+      if (when_abs < best ||
+          (when_abs == best &&
+           ((!on_first && best_on_first_node) ||
+            (on_first == best_on_first_node && a < finder)))) {
+        best = when_abs;
+        best_on_first_node = on_first;
+        finder = a;
+        first_target = static_cast<int>(ti);
+        best_record = epoch_segments_ - 1;
+        bound = std::min(cap, best);
       }
-      pelapsed_[ia] += move_time;
-      ppos_x_[ia] = end.x;
-      ppos_y_[ia] = end.y;
-      pclock_[ia] = start + pelapsed_[ia];
-      return false;
+    };
+    // Target-process gates ahead of any geometry: false when target ti
+    // cannot count in a move of duration `dur`; else *from is the window's
+    // first admissible offset into the move (<= 0: open at the start).
+    const auto admit = [&](std::size_t ti, plane::Time dur,
+                           plane::Time* from) {
+      if (collect && sighted_at(ti) < move_start) return false;
+      if (!windows) return true;
+      if (van_[ti] <= move_start) return false;
+      *from = app_[ti] - move_start;
+      return !(*from > 0 && *from >= dur);
     };
 
-    const double floor = advance_epochs(pclock_, bound, step,
-                                        &presult.segments, &presult.crashed);
-    settle_final_epoch(
-        floor, [bound](double s) { return s < bound; }, best,
-        best_on_first_node ? finder : -1, best_record, &presult.segments,
-        &presult.crashed);
+    const plane::PlaneOp op = plane_programs_[ia]->next(rngs_[ia]);
+    plane::Time move_time = 0;
+    plane::Vec2 end = pos;
+    bool is_line = false;
+    plane::LineMove line{pos, pos};
+    plane::SpiralMove spiral{pos, pconfig.spiral_pitch, 0};
 
+    if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
+      spiral.duration = sw->duration;
+      const double theta_end = spiral_theta(a_coef, spiral.duration);
+      for (std::size_t ti = 0; ti < nt; ++ti) {
+        plane::Time from = 0;
+        if (dynamic && !admit(ti, spiral.duration, &from)) continue;
+        const auto hit =
+            from > 0 ? plane::spiral_first_sighting_from_at(
+                           spiral, plane_env_.targets[ti], eps, from,
+                           plane::spiral_theta_for_arc(a_coef, from),
+                           theta_end)
+                     : plane::spiral_first_sighting_at(
+                           spiral, plane_env_.targets[ti], eps, theta_end);
+        if (hit) consider(*hit, ti);
+      }
+      move_time = spiral.duration;
+      end = plane::spiral_point_at(spiral.center, a_coef, theta_end);
+    } else {
+      is_line = true;
+      if (const auto* go = std::get_if<plane::GoToPoint>(&op)) {
+        line.to = go->target;
+      } else {
+        line.to = plane::kPlaneOrigin;  // ReturnHome
+      }
+      const plane::Vec2 d = line.to - line.from;
+      const double len = d.norm();
+      // Degenerate move (no direction to prefilter along) or too few
+      // targets for the prefilter kernel to pay for its call: the scalar
+      // test covers every target directly.
+      const bool prefilter = len != 0.0 && nt >= 4;
+      std::size_t nc = 0;
+      if (prefilter) {
+        const double inv = 1.0 / len;
+        nc = kernels_->line_candidates(ptgt_x_.data(), ptgt_y_.data(), nt,
+                                       line.from.x, line.from.y, d.x * inv,
+                                       d.y * inv, eps, cand_.data());
+      }
+      // Every target in order: one whose window opens mid-move is tested
+      // from there whether or not the prefilter shortlisted it.
+      std::size_t ci = 0;
+      for (std::size_t ti = 0; ti < nt; ++ti) {
+        const bool shortlisted = !prefilter || (ci < nc && cand_[ci] == ti);
+        if (prefilter && shortlisted) ++ci;
+        plane::Time from = 0;
+        if (dynamic && !admit(ti, len, &from)) continue;
+        std::optional<plane::Time> hit;
+        if (from > 0) {
+          hit = plane::line_first_sighting_from(line, plane_env_.targets[ti],
+                                                eps, from);
+        } else if (shortlisted) {
+          hit = plane::line_first_sighting(line, plane_env_.targets[ti], eps);
+        }
+        if (hit) consider(*hit, ti);
+      }
+      move_time = len;
+      end = line.to;
+    }
+
+    if (pelapsed_[ia] + move_time >= life) {
+      // Fail-stop: truncate the trajectory at the remaining budget (the
+      // rare path — build the Move variant and reuse the scalar clamp).
+      const plane::Move move =
+          is_line ? plane::Move{line} : plane::Move{spiral};
+      const plane::Vec2 died_at =
+          plane::move_position_at(move, life - pelapsed_[ia]);
+      ppos_x_[ia] = died_at.x;
+      ppos_y_[ia] = died_at.y;
+      pelapsed_[ia] = life;
+      return true;
+    }
+    pelapsed_[ia] += move_time;
+    ppos_x_[ia] = end.x;
+    ppos_y_[ia] = end.y;
+    pclock_[ia] = start + pelapsed_[ia];
+    return false;
+  };
+
+  const double floor = advance_epochs(pclock_, bound, step, &presult.segments,
+                                      &presult.crashed);
+  const auto inside = [bound](double s) { return s < bound; };
+
+  if (!collect) {
+    settle_final_epoch(floor, inside, best, best_on_first_node ? finder : -1,
+                       best_record, &presult.segments, &presult.crashed);
     if (best != plane::kPlaneNever) {
       presult.found = true;
       presult.time = best;
@@ -1263,22 +1375,71 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
           best > presult.last_start ? best - presult.last_start : 0;
     } else {
       presult.found = false;
-      presult.time = pconfig.time_cap;
+      presult.time = cap;
       presult.finder = -1;
-      presult.from_last_start = pconfig.time_cap;
+      presult.from_last_start = cap;
     }
+    return finish();
   }
 
-  TrialResult result;
-  result.time = presult.time;
-  result.found = presult.found;
-  result.finder = presult.finder;
-  result.first_target = presult.first_target;
-  result.segments = presult.segments;
-  result.last_start = presult.last_start;
-  result.from_last_start = presult.from_last_start;
-  result.crashed = presult.crashed;
-  return result;
+  // Collect-all: the decisive time T is the time the last target falls. At
+  // T the heap ran the moves starting before T, then those starting at T in
+  // agent order up to the one that sights the last target sighted at T only
+  // on a move's first point (see run_segment_dynamic).
+  const bool all_found = n_open == 0;
+  plane::Time t_all = 0;
+  for (std::size_t ti = 0; ti < nt && all_found; ++ti) {
+    t_all = std::max(t_all, sighted_at(ti));
+  }
+  const plane::Time decisive = all_found ? t_all : plane::kPlaneNever;
+  int tie_agent = -1;
+  std::uint64_t tie_last = 0;
+  for (std::size_t ti = 0; ti < nt && all_found; ++ti) {
+    if (pzbest_t_[ti] != decisive || pbest_t_[ti] <= decisive) continue;
+    const int f = zfinder_t_[ti];
+    const std::uint64_t r = zrecord_t_[ti];
+    if (f > tie_agent) {
+      tie_agent = f;
+      tie_last = r;
+    } else if (f == tie_agent) {
+      tie_last = std::max(tie_last, r);
+    }
+  }
+  settle_final_epoch(floor, inside, decisive, tie_agent, tie_last,
+                     &presult.segments, &presult.crashed);
+
+  // Each target's time and finder as the heap credits them; the earliest
+  // sighting (ties: lowest agent, then lowest target) fills finder and
+  // first_target.
+  plane::Time first_time = plane::kPlaneNever;
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    const plane::Time b = sighted_at(ti);
+    if (b == plane::kPlaneNever) continue;
+    int f = pbest_t_[ti] == b ? finder_t_[ti] : INT_MAX;
+    const bool heap_ran_it =
+        b != decisive || zfinder_t_[ti] < tie_agent ||
+        (zfinder_t_[ti] == tie_agent && zrecord_t_[ti] <= tie_last);
+    if (pzbest_t_[ti] == b && heap_ran_it) f = std::min(f, zfinder_t_[ti]);
+    presult.target_times[ti] = b;
+    if (b < first_time || (b == first_time && f < presult.finder)) {
+      first_time = b;
+      presult.finder = f;
+      presult.first_target = static_cast<int>(ti);
+    }
+  }
+  if (all_found) {
+    presult.found = true;
+    presult.time = t_all;
+    presult.from_last_start =
+        t_all > presult.last_start ? t_all - presult.last_start : 0;
+  } else {
+    // Partial finds keep finder/first_target of the earliest sighting (and
+    // the partial target_times) for the aggregates.
+    presult.found = false;
+    presult.time = cap;
+    presult.from_last_start = cap;
+  }
+  return finish();
 }
 
 }  // namespace ants::sim::batch

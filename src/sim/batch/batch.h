@@ -63,10 +63,10 @@ class BatchRunner {
   TrialResult run_one(const TrialEnvironment& env, const rng::Rng& trial_rng);
 
   /// Trials run_one delegated to the scalar executor since the last call,
-  /// returned and reset. Two cases delegate (see run_one and run_segment):
-  /// a plane strategy under a dynamic target process, and a hand-built grid
-  /// environment with a start beyond util::kTimeCap. Drained per block by
-  /// the sweep driver into the batch_scalar_fallback metric.
+  /// returned and reset. One case delegates (see run_segment): a hand-built
+  /// grid environment with a start beyond util::kTimeCap, which no schedule
+  /// draws. Drained per block by the sweep driver into the
+  /// batch_scalar_fallback metric.
   std::uint64_t take_scalar_fallbacks() noexcept {
     const std::uint64_t n = scalar_fallbacks_;
     scalar_fallbacks_ = 0;
@@ -85,11 +85,11 @@ class BatchRunner {
   TrialResult run_plane(const TrialEnvironment& env,
                         const rng::Rng& trial_rng);
 
-  /// Dynamic-target variants (appear/vanish windows, drift, dwell capture,
-  /// collect-all), mirroring sim/trial.cpp's run_*_trial_dynamic loops over
-  /// the SoA workspaces with the per-tick target tests routed through the
-  /// window_gate / drift_positions / find_point_gated / dwell_advance
-  /// kernels.
+  /// Grid dynamic-target variants (appear/vanish windows, drift, dwell
+  /// capture, collect-all), mirroring sim/trial.cpp's run_*_trial_dynamic
+  /// loops over the SoA workspaces with the per-tick target tests routed
+  /// through the window_gate / drift_positions / find_point_gated /
+  /// dwell_advance kernels. run_plane takes windows and collect-all itself.
   TrialResult run_segment_dynamic(const TrialEnvironment& env,
                                   const rng::Rng& trial_rng);
   TrialResult run_step_dynamic(const TrialEnvironment& env,
@@ -196,6 +196,12 @@ class BatchRunner {
   std::vector<double> pelapsed_;
   std::vector<double> ppos_x_, ppos_y_;
   std::vector<std::uint32_t> cand_;  ///< line_candidates output buffer
+  std::vector<double> pbest_t_;   ///< collect-all: per-target earliest hit
+                                  ///<   past a move's first point (finders
+                                  ///<   in finder_t_)
+  std::vector<double> pzbest_t_;  ///< ... on a move's first point (finders
+                                  ///<   and ordinals in zfinder_t_,
+                                  ///<   zrecord_t_)
 
   struct ThetaMemoEntry {
     std::uint64_t s_bits = 0;

@@ -36,7 +36,7 @@ struct EngineConfig {
   /// ignored by the grid backends. time_cap == kNeverTime maps to
   /// plane::kPlaneNever.
   double sight_radius = 1.0;  ///< the paper's eps
-  double spiral_pitch = 1.0;  ///< <= 2 * sight_radius for gap-free coverage
+  double spiral_pitch = 1.0;  ///< in (0, 2 * sight_radius]: gap-free coverage
 };
 
 /// Realizes an op into a concrete segment given the agent's position.

@@ -133,9 +133,8 @@ struct TrialEnvironment {
   /// windows, drift, dwell capture, or collect-all. Both executors route on
   /// this — the scalar executor into run_*_trial_dynamic, the batch
   /// executor (sim/batch/) into its dynamic SoA paths. It is NOT a
-  /// scalar-only marker: the batch executor runs every grid dynamic
-  /// environment natively; only plane windowed/collect cells still delegate
-  /// to the scalar path (documented and counted at BatchRunner::run_one).
+  /// scalar-only marker: the batch executor runs every dynamic environment,
+  /// grid and plane, natively.
   bool has_dynamic_targets() const noexcept {
     return has_target_windows() || has_target_drift() || capture_dwell > 0 ||
            collect_all;

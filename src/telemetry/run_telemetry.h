@@ -60,8 +60,8 @@ class RunTelemetry {
     metrics_.cache_corrupt.add(n);
   }
   /// The batch executor delegated `n` trials to the scalar run_trial path
-  /// (plane strategies under a dynamic target process — the one remaining
-  /// fallback; grid cells never delegate). Drained per trial block by the
+  /// (only hand-built grid environments with a start beyond util::kTimeCap;
+  /// spec-driven cells never delegate). Drained per trial block by the
   /// sweep from BatchRunner::take_scalar_fallbacks.
   void record_batch_scalar_fallback(std::uint64_t n) {
     metrics_.batch_scalar_fallback.add(n);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
 
 #include "rng/rng.h"
@@ -265,6 +268,238 @@ TEST(SpiralSighting, OffCenterSpiralsWork) {
   const double a = 1.0 / kTwoPi;
   EXPECT_LT(*t, 16.0 / (2 * a) * 1.5);
   EXPECT_GT(*t, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Spiral sightings vs the reference scan, bit for bit.
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+// A verbatim copy of the spiral sight test as it stood before the
+// angular-window scan: the classic test, its appear-window copy, and the
+// 80-step bisection. The production scan must return the SAME doubles.
+
+double spiral_dist2(Vec2 center, double a, double theta, Vec2 target) {
+  const Vec2 p = spiral_point_at(center, a, theta);
+  return (p - target).norm2();
+}
+
+std::optional<Time> refine_entry(const SpiralMove& sp, double a, Vec2 target,
+                                 double eps2, double outside, double inside) {
+  double x0 = outside, x1 = inside;
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (x0 + x1);
+    if (spiral_dist2(sp.center, a, mid, target) <= eps2) {
+      x1 = mid;
+    } else {
+      x0 = mid;
+    }
+  }
+  const double s = spiral_arc_length(a, x1);
+  if (s <= sp.duration) return s;
+  return std::nullopt;
+}
+
+std::optional<Time> classic_scan(const SpiralMove& sp, Vec2 target,
+                                 double eps, double theta_end) {
+  const double a = sp.pitch / kTwoPi;
+  const Vec2 rel = target - sp.center;
+  const double d = rel.norm();
+  if (d <= eps) return 0.0;
+  if (sp.duration <= 0) return std::nullopt;
+
+  const double theta_lo = std::max(0.0, (d - eps) / a);
+  const double theta_hi = std::min(theta_end, (d + eps) / a);
+  if (theta_lo > theta_hi) return std::nullopt;
+  const double eps2 = eps * eps;
+
+  if (d <= 50.0 * sp.pitch) {
+    const double dtheta = eps / (20.0 * std::max(d, eps));
+    double prev = theta_lo;
+    if (spiral_dist2(sp.center, a, prev, target) <= eps2) {
+      return spiral_arc_length(a, prev);
+    }
+    for (double theta = theta_lo + dtheta;; theta += dtheta) {
+      const double th = std::min(theta, theta_hi);
+      if (spiral_dist2(sp.center, a, th, target) <= eps2) {
+        return refine_entry(sp, a, target, eps2, prev, th);
+      }
+      prev = th;
+      if (th >= theta_hi) break;
+    }
+    return std::nullopt;
+  }
+
+  const double phi = std::atan2(rel.y, rel.x);
+  const double n_min = std::floor((theta_lo - phi) / kTwoPi) - 1.0;
+  const double n_max = std::ceil((theta_hi - phi) / kTwoPi) + 1.0;
+  for (double n = std::max(n_min, 0.0); n <= n_max; n += 1.0) {
+    const double theta_c = phi + n * kTwoPi;
+    const double lo = std::max(0.0, theta_c - 0.5 * kTwoPi);
+    const double hi = std::min(theta_end, theta_c + 0.5 * kTwoPi);
+    if (lo >= hi) continue;
+    double a1 = lo, b1 = hi;
+    for (int it = 0; it < 100; ++it) {
+      const double m1 = a1 + (b1 - a1) / 3.0;
+      const double m2 = b1 - (b1 - a1) / 3.0;
+      if (spiral_dist2(sp.center, a, m1, target) <
+          spiral_dist2(sp.center, a, m2, target)) {
+        b1 = m2;
+      } else {
+        a1 = m1;
+      }
+    }
+    const double theta_min = 0.5 * (a1 + b1);
+    if (spiral_dist2(sp.center, a, theta_min, target) > eps2) continue;
+    return refine_entry(sp, a, target, eps2, lo, theta_min);
+  }
+  return std::nullopt;
+}
+
+std::optional<Time> windowed_scan(const SpiralMove& sp, Vec2 target,
+                                  double eps, double theta_begin,
+                                  double theta_end) {
+  const double a = sp.pitch / kTwoPi;
+  const Vec2 rel = target - sp.center;
+  const double d = rel.norm();
+  const double theta_lo = std::max(theta_begin, std::max(0.0, (d - eps) / a));
+  const double theta_hi = std::min(theta_end, (d + eps) / a);
+  if (theta_lo > theta_hi) return std::nullopt;
+  const double eps2 = eps * eps;
+
+  if (d <= 50.0 * sp.pitch) {
+    const double dtheta = eps / (20.0 * std::max(d, eps));
+    double prev = theta_lo;
+    if (spiral_dist2(sp.center, a, prev, target) <= eps2) {
+      return spiral_arc_length(a, prev);
+    }
+    for (double theta = theta_lo + dtheta;; theta += dtheta) {
+      const double th = std::min(theta, theta_hi);
+      if (spiral_dist2(sp.center, a, th, target) <= eps2) {
+        return refine_entry(sp, a, target, eps2, prev, th);
+      }
+      prev = th;
+      if (th >= theta_hi) break;
+    }
+    return std::nullopt;
+  }
+
+  const double phi = std::atan2(rel.y, rel.x);
+  const double n_min = std::floor((theta_lo - phi) / kTwoPi) - 1.0;
+  const double n_max = std::ceil((theta_hi - phi) / kTwoPi) + 1.0;
+  for (double n = std::max(n_min, 0.0); n <= n_max; n += 1.0) {
+    const double theta_c = phi + n * kTwoPi;
+    const double lo =
+        std::max(theta_begin, std::max(0.0, theta_c - 0.5 * kTwoPi));
+    const double hi = std::min(theta_end, theta_c + 0.5 * kTwoPi);
+    if (lo >= hi) continue;
+    double a1 = lo, b1 = hi;
+    for (int it = 0; it < 100; ++it) {
+      const double m1 = a1 + (b1 - a1) / 3.0;
+      const double m2 = b1 - (b1 - a1) / 3.0;
+      if (spiral_dist2(sp.center, a, m1, target) <
+          spiral_dist2(sp.center, a, m2, target)) {
+        b1 = m2;
+      } else {
+        a1 = m1;
+      }
+    }
+    const double theta_min = 0.5 * (a1 + b1);
+    if (spiral_dist2(sp.center, a, theta_min, target) > eps2) continue;
+    return refine_entry(sp, a, target, eps2, lo, theta_min);
+  }
+  return std::nullopt;
+}
+
+/// first_sighting / first_sighting_from on a SpiralMove, as they composed
+/// the two scans above.
+std::optional<Time> first_sighting_from(const SpiralMove& sp, Vec2 target,
+                                        double eps, Time from) {
+  const double a = sp.pitch / kTwoPi;
+  if (from <= 0) {
+    if ((target - sp.center).norm() <= eps) return 0.0;
+    if (sp.duration <= 0) return std::nullopt;
+    return classic_scan(sp, target, eps, spiral_theta_for_arc(a, sp.duration));
+  }
+  if (from >= sp.duration) return std::nullopt;
+  const Vec2 at_from =
+      spiral_point_at(sp.center, a, spiral_theta_for_arc(a, from));
+  if ((at_from - target).norm2() <= eps * eps) return from;
+  return windowed_scan(sp, target, eps, spiral_theta_for_arc(a, from),
+                       spiral_theta_for_arc(a, sp.duration));
+}
+
+}  // namespace reference
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+TEST(SpiralSighting, BitIdenticalToReferenceScan) {
+  // Seeded queries over both regimes (the 50-pitch switch sits inside the
+  // distance range), gap-free pitches in (0, 2 eps], off-center spirals,
+  // targets on the rim of a swept point (eps * (1 +- 1e-13) away, where a
+  // skipped evaluation would flip the answer), targets just outside the
+  // center's disc, and appear-window starts anywhere in the move.
+  rng::Rng rng(20261020);
+  constexpr int kQueries = 100'000;
+  int hits = 0;
+  int windowed = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    const double eps = rng.uniform_real(0.1, 3.0);
+    const double pitch =
+        q % 16 == 0 ? 2.0 * eps : 2.0 * eps * rng.uniform_real(0.02, 1.0);
+    const double a = pitch / kTwoPi;
+    const Vec2 center = q % 2 == 0 ? Vec2{0, 0}
+                                   : Vec2{rng.uniform_real(-150.0, 150.0),
+                                          rng.uniform_real(-150.0, 150.0)};
+    const double d_max = std::max(55.0 * pitch, eps * 1.5);
+    // Budget reaching a radius a little past d_max, or cut short of it.
+    const double reach = rng.uniform_real(0.2, 1.1) * (d_max + eps);
+    const SpiralMove sp{center, pitch, spiral_arc_length(a, reach / a)};
+    Vec2 target;
+    switch (q % 4) {
+      case 0: {  // rim of a point the spiral passes
+        const double theta0 = rng.uniform_real(0.0, reach / a);
+        const double rim = rng.coin() ? 1.0 + 1e-13 : 1.0 - 1e-13;
+        target = spiral_point_at(center, a, theta0) +
+                 unit(rng.angle()) * (eps * rim);
+        break;
+      }
+      case 1:  // just outside the center's disc
+        target = center + unit(rng.angle()) * (eps * (1.0 + 1e-12));
+        break;
+      default: {  // log-uniform distance up to 55 pitches
+        const double lo = eps * (1.0 + 1e-12);
+        const double d = lo * std::exp(rng.uniform_real(0.0, 1.0) *
+                                       std::log(d_max / lo));
+        target = center + unit(rng.angle()) * d;
+        break;
+      }
+    }
+    const Time from =
+        q % 3 == 0 ? rng.uniform_real(0.0, 1.05) * sp.duration : 0.0;
+    windowed += from > 0 ? 1 : 0;
+
+    const auto want = reference::first_sighting_from(sp, target, eps, from);
+    const auto got = from > 0 ? first_sighting_from(Move{sp}, target, eps, from)
+                              : first_sighting(Move{sp}, target, eps);
+    ASSERT_EQ(want.has_value(), got.has_value())
+        << "query " << q << " eps=" << eps << " pitch=" << pitch
+        << " from=" << from;
+    if (want) {
+      ++hits;
+      ASSERT_EQ(bits_of(*want), bits_of(*got))
+          << "query " << q << ": " << *want << " vs " << *got;
+    }
+  }
+  // Both outcomes and both entry points were exercised in volume.
+  EXPECT_GT(hits, kQueries / 4);
+  EXPECT_LT(hits, kQueries);
+  EXPECT_GT(windowed, kQueries / 4);
 }
 
 // ---------------------------------------------------------------------------

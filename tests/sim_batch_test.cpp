@@ -13,9 +13,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "baselines/random_walk.h"
@@ -60,6 +62,7 @@ struct LevelGuard {
     EXPECT_EQ((expected).last_start, (actual).last_start);         \
     EXPECT_EQ((expected).from_last_start, (actual).from_last_start); \
     EXPECT_EQ((expected).crashed, (actual).crashed);               \
+    EXPECT_EQ((expected).target_times, (actual).target_times);     \
   } while (0)
 
 // --- kernel unit tests -----------------------------------------------------
@@ -415,7 +418,8 @@ TEST(BatchRunnerPlane, LargeKMatchesRunTrial) {
 void expect_same_outcome_or_throw(const TrialStrategy& strategy, int k,
                                   const TrialEnvironment& env,
                                   const EngineConfig& config,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed,
+                                  bool native_only = false) {
   const rng::Rng trial_rng(seed);
   LevelGuard guard;
   for (const SimdLevel level : testable_levels()) {
@@ -438,6 +442,9 @@ void expect_same_outcome_or_throw(const TrialStrategy& strategy, int k,
     ASSERT_EQ(want_threw, got_threw)
         << simd_level_name(level) << " seed " << seed;
     if (!want_threw) EXPECT_SAME_RESULT(want, got);
+    if (native_only) {
+      EXPECT_EQ(runner.take_scalar_fallbacks(), 0u);
+    }
   }
 }
 
@@ -684,20 +691,38 @@ class RandomPlaneOpsStrategy final : public plane::PlaneStrategy {
 };
 
 TEST(BatchRunnerPlane, RandomScriptedRacesMatchRunTrial) {
+  // Static first-sighting races, and the same races under target processes:
+  // appear/vanish windows in the first-sighting race and in collect-all
+  // mode, and static collect-all. Half-integer targets, integer waypoints,
+  // windows and starts make exact ties, rim grazes (eps = 0.5) and windows
+  // opening on a move's first point common; under a target process home
+  // targets are sighted, not resolved. No trial may delegate.
   const RandomPlaneOpsStrategy random_ops;
   TrialStrategy s;
   s.plane = &random_ops;
   rng::Rng draw(20261019);
-  for (int trial = 0; trial < 1500; ++trial) {
+  for (int trial = 0; trial < 4000; ++trial) {
     const int k = static_cast<int>(draw.uniform_int(1, 12));
     const auto uk = static_cast<std::size_t>(k);
+    // 0: static; 1: windows, first sighting; 2: windows, collect-all;
+    // 3: static collect-all.
+    const int mode = trial % 4;
+    const bool windows = mode == 1 || mode == 2;
     TrialEnvironment env;
-    const auto nt = draw.uniform_int(1, 5);
+    const auto nt = draw.uniform_int(windows ? 0 : 1, 5);
     for (std::int64_t i = 0; i < nt; ++i) {
       env.plane_targets.push_back(
-          plane::Vec2{static_cast<double>(draw.uniform_int(-4, 4)),
-                      static_cast<double>(draw.uniform_int(-4, 4))});
+          plane::Vec2{static_cast<double>(draw.uniform_int(-8, 8)) / 2.0,
+                      static_cast<double>(draw.uniform_int(-8, 8)) / 2.0});
+      if (windows) {
+        const double appear = static_cast<double>(draw.uniform_int(0, 30));
+        env.target_appear.push_back(appear);
+        env.target_vanish.push_back(
+            appear + static_cast<double>(draw.uniform_int(1, 60)));
+      }
     }
+    env.windowed = windows;
+    env.collect_all = mode >= 2;
     if (draw.uniform_int(0, 1) == 1) {
       for (std::size_t a = 0; a < uk; ++a) {
         env.starts.push_back(draw.uniform_int(0, 12));
@@ -717,42 +742,13 @@ TEST(BatchRunnerPlane, RandomScriptedRacesMatchRunTrial) {
       config.max_segments_per_agent = draw.uniform_int(1, 30);
     }
     expect_same_outcome_or_throw(s, k, env, config,
-                                 static_cast<std::uint64_t>(trial));
+                                 static_cast<std::uint64_t>(trial),
+                                 /*native_only=*/true);
     if (::testing::Test::HasFailure()) FAIL() << "diverged at trial " << trial;
   }
 }
 
-/// Replays a fixed plane op list per agent, then shuttles between home and
-/// (-5, -5) forever.
-class ScriptedPlaneStrategy final : public plane::PlaneStrategy {
- public:
-  explicit ScriptedPlaneStrategy(std::vector<std::vector<plane::PlaneOp>> ops)
-      : ops_(std::move(ops)) {}
-  std::string name() const override { return "scripted-plane"; }
-  std::unique_ptr<plane::PlaneAgentProgram> make_program(
-      int agent, int) const override {
-    class P final : public plane::PlaneAgentProgram {
-     public:
-      explicit P(std::vector<plane::PlaneOp> ops) : ops_(std::move(ops)) {}
-      plane::PlaneOp next(rng::Rng&) override {
-        if (i_ < ops_.size()) return ops_[i_++];
-        out_ = !out_;
-        if (out_) return plane::GoToPoint{plane::Vec2{-5.0, -5.0}};
-        return plane::ReturnHome{};
-      }
-
-     private:
-      std::vector<plane::PlaneOp> ops_;
-      std::size_t i_ = 0;
-      bool out_ = false;
-    };
-    return std::make_unique<P>(ops_[static_cast<std::size_t>(agent) %
-                                    ops_.size()]);
-  }
-
- private:
-  std::vector<std::vector<plane::PlaneOp>> ops_;
-};
+using testing::PerAgentScriptedPlaneStrategy;
 
 TEST(BatchRunnerPlane, SightingOnAMovesFirstPointCountsLikeTheHeap) {
   // The line from (24, 4) ends inside the sight disc of the target at
@@ -765,7 +761,7 @@ TEST(BatchRunnerPlane, SightingOnAMovesFirstPointCountsLikeTheHeap) {
   const std::vector<plane::PlaneOp> approach = {
       plane::GoToPoint{plane::Vec2{24.0, 4.0}}, plane::GoToPoint{rim},
       plane::ReturnHome{}};
-  const ScriptedPlaneStrategy scripts({approach, approach, {}});
+  const PerAgentScriptedPlaneStrategy scripts({approach, approach, {}});
   TrialStrategy s;
   s.plane = &scripts;
   TrialEnvironment env;
@@ -784,6 +780,44 @@ TEST(BatchRunnerPlane, SightingOnAMovesFirstPointCountsLikeTheHeap) {
     BatchRunner runner(s, 3, config);
     EXPECT_SAME_RESULT(want, runner.run_one(env, trial_rng));
   }
+}
+
+TEST(BatchRunnerPlane, RejectsSpiralPitchesThatLeaveGaps) {
+  // The pitch must be finite and in (0, 2 * sight_radius] on both
+  // executors. A tiny sight radius under the default pitch once stalled the
+  // spiral scan's angular step instead of failing.
+  const plane::PlaneKnownKStrategy known(2);
+  TrialStrategy s;
+  s.plane = &known;
+  TrialEnvironment env;
+  env.plane_targets = {{8.0, 0.0}};
+  const rng::Rng trial_rng(3);
+  for (const auto& [eps, pitch] : std::vector<std::pair<double, double>>{
+           {1e-12, 1.0},
+           {0.5, 1.0 + 1e-9},
+           {1.0, 0.0},
+           {1.0, -1.0},
+           {1.0, std::numeric_limits<double>::infinity()},
+           {1.0, std::numeric_limits<double>::quiet_NaN()}}) {
+    EngineConfig config;
+    config.time_cap = 1'000;
+    config.sight_radius = eps;
+    config.spiral_pitch = pitch;
+    EXPECT_THROW(run_trial(s, 2, env, trial_rng, config),
+                 std::invalid_argument)
+        << "eps=" << eps << " pitch=" << pitch;
+    BatchRunner runner(s, 2, config);
+    EXPECT_THROW(runner.run_one(env, trial_rng), std::invalid_argument)
+        << "eps=" << eps << " pitch=" << pitch;
+  }
+  // The gap-free limit itself is accepted.
+  EngineConfig config;
+  config.time_cap = 1'000;
+  config.sight_radius = 0.5;
+  config.spiral_pitch = 1.0;
+  BatchRunner runner(s, 2, config);
+  EXPECT_SAME_RESULT(run_trial(s, 2, env, trial_rng, config),
+                     runner.run_one(env, trial_rng));
 }
 
 TEST(BatchRunner, ReusedAcrossTrialsDoesNotLeakState) {

@@ -12,10 +12,9 @@
 //     errors, on every backend and in both collect modes;
 //   * dwell capture requires held contact and resets on leaving the disc or
 //     on the target vanishing mid-dwell;
-//   * the batch executor runs every grid dynamic environment natively in its
-//     SoA path, byte-identical to the scalar reference at every forced SIMD
-//     level and with zero scalar delegations; plane windowed/collect cells
-//     are the one remaining fallback, and each delegation is counted;
+//   * the batch executor runs every dynamic environment — grid and plane —
+//     natively, byte-identical to the scalar reference at every forced SIMD
+//     level and with zero scalar delegations;
 //   * capture/collect are part of the scenario cell cache key, and the new
 //     target aggregates survive a cache round-trip.
 #include <gtest/gtest.h>
@@ -31,6 +30,7 @@
 #include "core/known_k.h"
 #include "plane/strategies.h"
 #include "rng/splitmix64.h"
+#include "scenario/environment.h"
 #include "scenario/plan.h"
 #include "scenario/spec.h"
 #include "scenario/sweep.h"
@@ -395,11 +395,10 @@ TEST(TargetProcess, CollectAllCensorsUnfoundTargets) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch executor: grid dynamic environments run natively in the batch SoA
-// path — byte-identical to the scalar reference at every forced SIMD level,
-// with the fallback counter pinned at zero so the tests fail if routing ever
-// regresses to delegation. Plane dynamic cells are the one remaining
-// (counted) delegation.
+// Batch executor: dynamic environments run natively in the batch SoA path —
+// byte-identical to the scalar reference at every forced SIMD level, with
+// the fallback counter pinned at zero so the tests fail if routing ever
+// regresses to delegation.
 // ---------------------------------------------------------------------------
 
 class SimdLevelGuard {
@@ -556,33 +555,191 @@ TEST(TargetProcess, BatchRunnerMatchesOriginArrivalTiesAcrossEpochs) {
   }
 }
 
-TEST(TargetProcess, BatchRunnerCountsPlaneDynamicDelegation) {
+/// Runs one plane trial through plane::run_plane_trial (via run_trial) and
+/// through BatchRunner::run_one at every forced dispatch level: the same
+/// result, or the same segment-budget error, with no scalar delegation.
+void expect_plane_batch_matches(const plane::PlaneStrategy& strategy, int k,
+                                const TrialEnvironment& env,
+                                const EngineConfig& config,
+                                const rng::Rng& trial_rng) {
   using sim::batch::SimdLevel;
-  const plane::PlaneKnownKStrategy plane_known(3);
-  const sim::TargetProcess plane_poisson = sim::poisson_plane_targets(
-      0.02, 300.0, [](rng::Rng& rng) { return rng.angle(); });
-  EngineConfig config;
-  config.time_cap = 400;
-
+  bool want_threw = false;
+  TrialResult want;
+  try {
+    want = run_trial(strategy, k, env, trial_rng, config);
+  } catch (const std::runtime_error&) {
+    want_threw = true;
+  }
+  sim::TrialStrategy s;
+  s.plane = &strategy;
   SimdLevelGuard guard;
   for (const SimdLevel level :
        {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
     sim::batch::force_simd_level(level);
-    sim::TrialStrategy s;
-    s.plane = &plane_known;
-    sim::batch::BatchRunner runner(s, 2, config);
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const rng::Rng trial_rng(rng::mix_seed(0xFA11BAC, seed));
-      TrialEnvironment env;
-      rng::Rng realize_rng(trial_rng.seed());
-      plane_poisson.plane(realize_rng, 3, config.time_cap, &env);
-      expect_same_result(runner.run_one(env, trial_rng),
-                         run_trial(plane_known, 2, env, trial_rng, config));
+    sim::batch::BatchRunner runner(s, k, config);
+    bool got_threw = false;
+    TrialResult got;
+    try {
+      got = runner.run_one(env, trial_rng);
+    } catch (const std::runtime_error&) {
+      got_threw = true;
     }
-    // Each dynamic plane trial is a counted delegation; take drains.
-    EXPECT_EQ(runner.take_scalar_fallbacks(), 4u);
+    ASSERT_EQ(want_threw, got_threw) << sim::batch::simd_level_name(level);
+    if (!want_threw) expect_same_result(want, got);
     EXPECT_EQ(runner.take_scalar_fallbacks(), 0u);
   }
+}
+
+TEST(TargetProcess, BatchRunnerMatchesScalarOnPlaneDynamicCells) {
+  // The campaign's plane-dynamic cells and their neighbours: windowed
+  // Poisson arrivals, a static pair raced to collect-all, and zero-spawn
+  // realizations, in both collect modes, under staggered starts,
+  // dead-on-arrival crashes and exponential lifetimes, at k from 1 to 64.
+  const auto angle = scenario::make_plane_angle("ring");
+  const sim::TargetProcess poisson =
+      scenario::make_plane_targets("poisson(rate=0.01, life=1000)", angle);
+  const sim::TargetProcess pair =
+      scenario::make_plane_targets("pair(near=0.25)", angle);
+  const sim::TargetProcess none = [] {  // a windowed process, no spawns
+    sim::TargetProcess p;
+    p.plane = [](rng::Rng&, std::int64_t, Time, TrialEnvironment* env) {
+      env->windowed = true;
+    };
+    return p;
+  }();
+  const sim::SyncStart sync;
+  const sim::StaggeredStart staggered(3);
+  const sim::NoCrash no_crash;
+  const sim::DoaCrash doa(0.3);
+  const sim::ExponentialLifetime lifetimes(300.0);
+  const struct {
+    const sim::StartSchedule* schedule;
+    const sim::CrashModel* crashes;
+  } shapes[] = {{&sync, &no_crash},
+                {&staggered, &no_crash},
+                {&sync, &doa},
+                {&staggered, &lifetimes}};
+  EngineConfig config;
+  config.time_cap = 1500;
+
+  for (const int k : {1, 3, 16, 64}) {
+    const plane::PlaneKnownKStrategy known(k);
+    const plane::PlaneHarmonicStrategy harmonic(0.5);
+    for (const plane::PlaneStrategy* strategy :
+         {static_cast<const plane::PlaneStrategy*>(&known),
+          static_cast<const plane::PlaneStrategy*>(&harmonic)}) {
+      for (const sim::TargetProcess* process : {&poisson, &pair, &none}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          const rng::Rng trial_rng(rng::mix_seed(0x9D1A7E, seed * 131 + k));
+          const auto& shape = shapes[seed - 1];
+          for (const bool collect : {false, true}) {
+            TrialEnvironment env;
+            rng::Rng realize_rng(trial_rng.seed());
+            process->plane(realize_rng, 8, config.time_cap, &env);
+            env = sim::draw_environment(k, std::move(env), *shape.schedule,
+                                        *shape.crashes, trial_rng);
+            env.collect_all = collect;
+            expect_plane_batch_matches(*strategy, k, env, config, trial_rng);
+            if (::testing::Test::HasFailure()) {
+              FAIL() << strategy->name() << " k=" << k << " seed=" << seed
+                     << (collect ? " collect-all" : " first-find");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TargetProcess, BatchRunnerMatchesPlaneDynamicTies) {
+  // Agents 0 and 1 walk to (x, 0), then north. Target A at (x, 0.5)
+  // appears at T = x, exactly when their second moves start: both sight it
+  // on a move's first point at the same time. Agent 2 walks north and
+  // sights target B at (0, x + 1) at T too, past its move's first point.
+  // Target C sits on the rim of agent 3's path (exactly eps off its line).
+  // x sweeps the scheduling boundaries across the decisive time.
+  for (int x = 4; x <= 120; x += 3) {
+    const double xd = x;
+    const testing::PerAgentScriptedPlaneStrategy scripts(
+        {{plane::GoToPoint{{xd, 0.0}}, plane::GoToPoint{{xd, 8.0}}},
+         {plane::GoToPoint{{xd, 0.0}}, plane::GoToPoint{{xd, 8.0}}},
+         {plane::GoToPoint{{0.0, xd + 2.0}}},
+         {plane::GoToPoint{{-2.0 * xd, 0.0}}}});
+    for (const int k : {2, 3, 4}) {
+      for (const bool collect : {false, true}) {
+        TrialEnvironment env;
+        env.plane_targets = {{xd, 0.5}, {0.0, xd + 1.0}, {-xd, 1.0}};
+        env.target_appear = {xd, 0.0, 0.0};
+        env.target_vanish = {1e9, 1e9, 1e9};
+        env.collect_all = collect;
+        EngineConfig config;
+        config.time_cap = 1000;
+        expect_plane_batch_matches(scripts, k, env, config, rng::Rng(5));
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "x = " << x << " k = " << k
+                 << (collect ? " collect-all" : " first-find");
+        }
+      }
+    }
+  }
+}
+
+TEST(TargetProcess, BatchRunnerMatchesPlaneFirstPointTieAfterAnEpoch) {
+  // Collect-all. Target X at (10, 0.5) appears at T = 10. Agent 1's long
+  // line is inside X's disc when the window opens, so it sights X at T
+  // past its move's first point, in the executor's first scheduling round.
+  // Agent 0 reaches (10, 0) at T and sights X on its next move's first
+  // point; the heap runs that move (target Y is still open), so agent 0,
+  // the lower index, is X's finder — the earlier equal-time sighting must
+  // not make the batch skip X for agent 0's move.
+  const testing::PerAgentScriptedPlaneStrategy scripts(
+      {{plane::GoToPoint{{10.0, 0.0}}, plane::GoToPoint{{10.0, 8.0}}},
+       {plane::GoToPoint{{20.0, 0.5}}}});
+  TrialEnvironment env;
+  env.plane_targets = {{10.0, 0.5}, {10.0, 6.0}};
+  env.target_appear = {10.0, 0.0};
+  env.target_vanish = {1e9, 1e9};
+  env.collect_all = true;
+  EngineConfig config;
+  config.time_cap = 1000;
+  const TrialResult want = run_trial(scripts, 2, env, rng::Rng(5), config);
+  ASSERT_TRUE(want.found);
+  EXPECT_EQ(want.first_target, 0);
+  EXPECT_EQ(want.finder, 0);
+  EXPECT_EQ(want.target_times[0], 10.0);
+  expect_plane_batch_matches(scripts, 2, env, config, rng::Rng(5));
+}
+
+TEST(TargetProcess, BatchRunnerMatchesPlaneDynamicBudgetThrow) {
+  // A small segment budget trips inside the race or around its decisive
+  // time; both executors must agree on whether it throws.
+  const plane::PlaneKnownKStrategy known(4);
+  const sim::TargetProcess poisson = scenario::make_plane_targets(
+      "poisson(rate=0.01, life=1000)", scenario::make_plane_angle("ring"));
+  int threw = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const std::int64_t budget : {2, 5, 9, 20}) {
+      for (const bool collect : {false, true}) {
+        const rng::Rng trial_rng(rng::mix_seed(0xB0D6E7, seed));
+        TrialEnvironment env;
+        rng::Rng realize_rng(trial_rng.seed());
+        poisson.plane(realize_rng, 8, 1500, &env);
+        env = sim::draw_environment(4, std::move(env), sim::StaggeredStart(2),
+                                    sim::NoCrash(), trial_rng);
+        env.collect_all = collect;
+        EngineConfig config;
+        config.time_cap = 1500;
+        config.max_segments_per_agent = budget;
+        try {
+          run_trial(known, 4, env, trial_rng, config);
+        } catch (const std::runtime_error&) {
+          ++threw;
+        }
+        expect_plane_batch_matches(known, 4, env, config, trial_rng);
+      }
+    }
+  }
+  EXPECT_GT(threw, 0);  // the budget really does trip in some trials
 }
 
 // ---------------------------------------------------------------------------

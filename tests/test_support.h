@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "plane/engine.h"
 #include "sim/program.h"
 
 namespace ants::testing {
@@ -63,6 +64,39 @@ class PerAgentScriptedStrategy final : public sim::Strategy {
 
  private:
   std::vector<std::vector<sim::Op>> scripts_;
+};
+
+/// Replays a fixed plane op list per agent (indexed by agent, modulo the
+/// number of scripts), then shuttles between home and (-5, -5) forever.
+class PerAgentScriptedPlaneStrategy final : public plane::PlaneStrategy {
+ public:
+  explicit PerAgentScriptedPlaneStrategy(
+      std::vector<std::vector<plane::PlaneOp>> ops)
+      : ops_(std::move(ops)) {}
+  std::string name() const override { return "per-agent-scripted-plane"; }
+  std::unique_ptr<plane::PlaneAgentProgram> make_program(
+      int agent, int) const override {
+    class P final : public plane::PlaneAgentProgram {
+     public:
+      explicit P(std::vector<plane::PlaneOp> ops) : ops_(std::move(ops)) {}
+      plane::PlaneOp next(rng::Rng&) override {
+        if (i_ < ops_.size()) return ops_[i_++];
+        out_ = !out_;
+        if (out_) return plane::GoToPoint{plane::Vec2{-5.0, -5.0}};
+        return plane::ReturnHome{};
+      }
+
+     private:
+      std::vector<plane::PlaneOp> ops_;
+      std::size_t i_ = 0;
+      bool out_ = false;
+    };
+    return std::make_unique<P>(ops_[static_cast<std::size_t>(agent) %
+                                    ops_.size()]);
+  }
+
+ private:
+  std::vector<std::vector<plane::PlaneOp>> ops_;
 };
 
 }  // namespace ants::testing
