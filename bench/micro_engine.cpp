@@ -3,9 +3,9 @@
 // trial in microseconds — is what makes the E1-E8 sweeps laptop-scale
 // (stepping the same trial would cost ~D^2/k * k = 65536+ node visits).
 //
-// The BM_Unified* group covers the environment-aware executor
-// (sim::run_trial): its sync path must stay at parity with the historical
-// run_search numbers (it IS the same sweep), and the environment draw,
+// The BM_Trial* group times base-model trials (single_target_environment)
+// through sim::run_trial, one per paper strategy. The BM_Unified* group
+// covers the rest of the environment-aware executor: the environment draw,
 // async, multi-target, and lock-step costs get their own counters.
 // bench/baseline_engine.json pins a reference run of this harness;
 // tools/bench_compare.py diffs a fresh run against it (the CI
@@ -34,7 +34,8 @@ void BM_TrialKnownK(benchmark::State& state) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {d, 0}, trial);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({d, 0}), trial);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -50,7 +51,8 @@ void BM_TrialUniform(benchmark::State& state) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {64, 0}, trial);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({64, 0}), trial);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -64,7 +66,9 @@ void BM_TrialHarmonic(benchmark::State& state) {
   config.time_cap = ants::sim::Time{1} << 32;  // censor heavy-tail stragglers
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {64, 0}, trial, config);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({64, 0}), trial,
+        config);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -76,7 +80,8 @@ void BM_TrialSectorSweep(benchmark::State& state) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {128, 0}, trial);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({128, 0}), trial);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -99,8 +104,9 @@ void BM_UnifiedDrawEnvironment(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedDrawEnvironment)->Arg(16)->Arg(256);
 
-// Sync single-target trial through run_trial: must track BM_TrialKnownK
-// (the wrapper indirection is the only difference).
+// Sync single-target trial through run_trial: the same call as
+// BM_TrialKnownK at two of its shapes, kept under this name as the
+// scalar half of the BM_Unified*/BM_Batched* ratio pairs.
 void BM_UnifiedTrialSync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   const std::int64_t d = state.range(1);
@@ -186,10 +192,9 @@ void BM_UnifiedTrialStepAsync(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedTrialStepAsync)->Arg(4)->Arg(16);
 
-// Plane backend under the base model through run_trial: must stay at
-// parity with the historical run_plane_search cost (it IS the same
-// min-clock sweep; the dispatch + environment adaptation is the only
-// difference).
+// Plane backend under the base model through run_trial: the continuous
+// min-clock sweep of plane::run_plane_trial plus the sim-to-plane dispatch
+// and environment adaptation.
 void BM_UnifiedTrialPlaneSync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   const std::int64_t d = state.range(1);

@@ -23,7 +23,7 @@
 
 #include "core/harmonic.h"
 #include "rng/rng.h"
-#include "sim/multi_target.h"
+#include "sim/trial.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) try {
@@ -46,9 +46,12 @@ int main(int argc, char** argv) try {
       {"carcass (D=36)", {-20, 16}},
       {"grove (D=120)", {60, -60}},
   };
-  std::vector<ants::grid::Point> targets;
-  targets.reserve(patches.size());
-  for (const Patch& p : patches) targets.push_back(p.where);
+  // Collect-all: the colony keeps searching until every patch is found (or
+  // the cap), recording each patch's first-visit time.
+  ants::sim::TrialEnvironment env;
+  env.targets.reserve(patches.size());
+  for (const Patch& p : patches) env.targets.push_back(p.where);
+  env.collect_all = true;
 
   const ants::core::HarmonicStrategy strategy(delta);
 
@@ -63,15 +66,17 @@ int main(int argc, char** argv) try {
   for (std::int64_t t = 0; t < trials; ++t) {
     const ants::rng::Rng trial(
         ants::rng::mix_seed(0xF00D, static_cast<std::uint64_t>(t)));
-    const ants::sim::MultiSearchResult r = ants::sim::run_search_multi(
-        strategy, k, targets, trial, config, /*collect_all=*/true);
-    if (r.found) {
+    const ants::sim::TrialResult r =
+        ants::sim::run_trial(strategy, k, env, trial, config);
+    // r.found means EVERY patch was found; the race is decided as soon as
+    // any one was, and never-found patches read -1.
+    if (r.first_target >= 0) {
       ++races_decided;
       ++first_wins[static_cast<std::size_t>(r.first_target)];
     }
     for (std::size_t i = 0; i < patches.size(); ++i) {
-      if (r.target_times[i] != ants::sim::kNeverTime) {
-        discovery_sums[i] += static_cast<double>(r.target_times[i]);
+      if (r.target_times[i] >= 0) {
+        discovery_sums[i] += r.target_times[i];
         ++discovered[i];
       }
     }

@@ -50,6 +50,12 @@ void validate_plane_trial_args(int k, const PlaneTrialEnvironment& env,
     // A windowed process (Poisson arrivals) may spawn zero targets.
     throw std::invalid_argument("run_plane_trial: need >= 1 target");
   }
+  if (env.collect_all && !(config.time_cap < kPlaneNever)) {
+    // Collect-all agents search until every target is sighted; without a
+    // cap an unreachable target keeps them going until the segment budget.
+    throw std::invalid_argument(
+        "run_plane_trial: collect-all requires a finite time_cap");
+  }
   if (!env.target_appear.empty() &&
       env.target_appear.size() != env.targets.size()) {
     throw std::invalid_argument(
@@ -412,26 +418,6 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
     result.finder = -1;
     result.from_last_start = config.time_cap;
   }
-  return result;
-}
-
-PlaneSearchResult run_plane_search(const PlaneStrategy& strategy, int k,
-                                   Vec2 treasure, const rng::Rng& trial_rng,
-                                   const PlaneEngineConfig& config) {
-  if (k < 1) throw std::invalid_argument("run_plane_search: need k >= 1");
-  // The base model is the environment-aware executor under the trivial
-  // environment (simultaneous starts, immortal agents, one treasure); see
-  // run_plane_trial for the interleaved min-clock sweep this used to
-  // implement directly.
-  PlaneTrialEnvironment env;
-  env.targets = {treasure};
-  const PlaneTrialResult r =
-      run_plane_trial(strategy, k, env, trial_rng, config);
-  PlaneSearchResult result;
-  result.time = r.time;
-  result.found = r.found;
-  result.finder = r.finder;
-  result.segments = r.segments;
   return result;
 }
 

@@ -54,20 +54,6 @@ struct PlaneEngineConfig {
   std::int64_t max_segments_per_agent = 50'000'000;
 };
 
-struct PlaneSearchResult {
-  Time time = kPlaneNever;
-  bool found = false;
-  int finder = -1;
-  std::int64_t segments = 0;
-};
-
-/// One collaborative continuous search; agent a uses trial_rng.child(a).
-/// Thin wrapper over run_plane_trial under the base-model environment
-/// (simultaneous starts, immortal agents, one treasure).
-PlaneSearchResult run_plane_search(const PlaneStrategy& strategy, int k,
-                                   Vec2 treasure, const rng::Rng& trial_rng,
-                                   const PlaneEngineConfig& config = {});
-
 /// The fully realized environment of one continuous-plane trial — the
 /// plane-side mirror of sim::TrialEnvironment. Targets are sight discs of
 /// the engine's eps around each point; empty `starts` / `lifetimes` are the
@@ -123,16 +109,15 @@ struct PlaneTrialResult {
   std::vector<double> target_times;
 };
 
-/// Runs one continuous trial of `strategy` under `env`: the interleaved
-/// min-clock sweep generalized over per-agent start delays (agents idle at
-/// home until their start time), fail-stop lifetimes (a trajectory is
-/// truncated at its active-time budget; sightings past it do not count),
-/// and first-of-set races over multiple sight discs. Under a sync/no-crash
-/// single-target environment this is exactly the historical
-/// run_plane_search (which is now a wrapper over it). Throws
-/// std::invalid_argument on k < 1, an empty target set, environment vectors
-/// of the wrong size, a non-positive sight radius, or a spiral pitch that is
-/// not finite and in (0, 2 * sight_radius].
+/// Runs one continuous trial of `strategy` under `env`; agent a draws from
+/// trial_rng.child(a). The interleaved min-clock sweep is generalized over
+/// per-agent start delays (agents idle at home until their start time),
+/// fail-stop lifetimes (a trajectory is truncated at its active-time budget;
+/// sightings past it do not count), and first-of-set races over multiple
+/// sight discs. Throws std::invalid_argument on k < 1, an empty target set,
+/// environment vectors of the wrong size, a non-positive sight radius, a
+/// spiral pitch that is not finite and in (0, 2 * sight_radius], or
+/// collect-all without a finite time cap (below kPlaneNever).
 PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
                                  const PlaneTrialEnvironment& env,
                                  const rng::Rng& trial_rng,

@@ -67,7 +67,7 @@ BatchRunner::BatchRunner(const TrialStrategy& strategy, int k,
 TrialResult BatchRunner::run_one(const TrialEnvironment& env,
                                  const rng::Rng& trial_rng) {
   kernels_ = &kernels_for(active_simd_level());
-  detail::validate_trial_args(strategy_, k_, env);
+  detail::validate_trial_args(strategy_, k_, env, config_);
   if (strategy_.plane != nullptr) return run_plane(env, trial_rng);
   if (strategy_.step != nullptr) return run_step(env, trial_rng);
   return run_segment(env, trial_rng);
@@ -692,10 +692,6 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
 
-  if (config_.time_cap == kNeverTime) {
-    throw std::invalid_argument(
-        "run_trial: step strategies require a finite time_cap");
-  }
   if (env.has_dynamic_targets()) return run_step_dynamic(env, trial_rng);
 
   const Time last_start = env.last_start();

@@ -4,10 +4,9 @@
 // O(k * cap) — these baselines are only run at small D, which is exactly
 // the paper's point about random walks on Z^2.
 //
-// The lock-step execution loop lives in the unified executor (sim/trial.h),
-// which also gives these strategies start schedules, fail-stop crashes, and
-// multi-target races; run_step_search below is the historical
-// single-treasure entry point, now a thin wrapper over it.
+// The lock-step execution loop lives in the trial executors (sim/trial.h),
+// which also give these strategies start schedules, fail-stop crashes, and
+// multi-target races.
 #pragma once
 
 #include <memory>
@@ -33,11 +32,5 @@ class StepStrategy {
   virtual std::string name() const = 0;
   virtual std::unique_ptr<StepProgram> make_program(AgentContext ctx) const = 0;
 };
-
-/// Runs one lock-step trial with k agents starting at the origin; the search
-/// succeeds when any agent occupies `treasure` at some tick <= time_cap.
-SearchResult run_step_search(const StepStrategy& strategy, int k,
-                             grid::Point treasure, const rng::Rng& trial_rng,
-                             Time time_cap);
 
 }  // namespace ants::sim

@@ -16,7 +16,8 @@ namespace ants::sim {
 namespace detail {
 
 void validate_trial_args(const TrialStrategy& strategy, int k,
-                         const TrialEnvironment& env) {
+                         const TrialEnvironment& env,
+                         const EngineConfig& config) {
   const int set = (strategy.segment != nullptr ? 1 : 0) +
                   (strategy.step != nullptr ? 1 : 0) +
                   (strategy.plane != nullptr ? 1 : 0);
@@ -61,15 +62,28 @@ void validate_trial_args(const TrialStrategy& strategy, int k,
   if (!env.lifetimes.empty() && env.lifetimes.size() != uk) {
     throw std::invalid_argument("run_trial: lifetimes count != k");
   }
+  if (config.time_cap == kNeverTime) {
+    // Random-walk-style strategies have infinite expected hitting time on
+    // Z^2 (see the paper's related-work discussion), and collect-all agents
+    // keep searching while any target is unfound: uncapped, either would
+    // only stop at the segment budget.
+    if (strategy.step != nullptr) {
+      throw std::invalid_argument(
+          "run_trial: step strategies require a finite time_cap");
+    }
+    if (env.collect_all) {
+      throw std::invalid_argument(
+          "run_trial: collect-all requires a finite time_cap");
+    }
+  }
 }
 
 /// Fills the shared result fields for a target sitting on the source node
-/// (see trial.h). Matches the historical engines for the base model
-/// (run_search: t = 0, finder 0); under a crash model, dead-on-arrival
-/// agents are skipped as finder candidates and counted as crashed — a
-/// lifetime <= 0 agent never acts, so crediting it with the find (and
-/// leaving result->crashed at 0) made mean_crashed/survivors disagree with
-/// the non-origin path.
+/// (see trial.h). Under the base model that is t = 0, finder 0; under a
+/// crash model, dead-on-arrival agents are skipped as finder candidates and
+/// counted as crashed — a lifetime <= 0 agent never acts, so crediting it
+/// with the find (and leaving result->crashed at 0) made
+/// mean_crashed/survivors disagree with the non-origin path.
 bool resolve_origin_target(const TrialEnvironment& env, int k, Time time_cap,
                            TrialResult* result) {
   for (std::size_t ti = 0; ti < env.targets.size(); ++ti) {
@@ -302,10 +316,10 @@ TrialResult run_segment_trial_dynamic(const Strategy& strategy, int k,
   return result;
 }
 
-/// Segment backend: the interleaved min-heap sweep of the historical
-/// engines, generalized over starts/lifetimes/target sets. Agents are
-/// interleaved by ABSOLUTE clock (start + active time, smallest first)
-/// rather than processed to completion one at a time: with deterministic
+/// Segment backend: the interleaved min-heap sweep, generalized over
+/// starts/lifetimes/target sets. Agents are interleaved by ABSOLUTE clock
+/// (start + active time, smallest first) rather than processed to
+/// completion one at a time: with deterministic
 /// partitioned strategies (e.g. the sector sweep) only ONE agent ever
 /// reaches a target, so any agent processed before it under an infinite
 /// bound would never terminate. Interleaving guarantees the eventual finder
@@ -559,20 +573,12 @@ TrialResult run_step_trial_dynamic(const StepStrategy& strategy, int k,
 }
 
 /// Lock-step backend: every alive, started agent advances one edge per
-/// tick. Under a sync/no-crash single-target environment this is
-/// tick-for-tick the historical run_step_search loop (agents move in index
-/// order within a tick, the first to stand on a target wins).
+/// tick. Agents move in index order within a tick; the first to stand on a
+/// target wins.
 TrialResult run_step_trial(const StepStrategy& strategy, int k,
                            const TrialEnvironment& env,
                            const rng::Rng& trial_rng,
                            const EngineConfig& config) {
-  if (config.time_cap == kNeverTime) {
-    // Random-walk-style strategies have infinite expected hitting time on
-    // Z^2 (see the paper's related-work discussion); an uncapped run is a
-    // programming error.
-    throw std::invalid_argument(
-        "run_trial: step strategies require a finite time_cap");
-  }
   if (env.has_dynamic_targets()) {
     return run_step_trial_dynamic(strategy, k, env, trial_rng, config);
   }
@@ -726,7 +732,7 @@ TrialEnvironment draw_environment(int k, TrialEnvironment env,
 TrialResult run_trial(const TrialStrategy& strategy, int k,
                       const TrialEnvironment& env, const rng::Rng& trial_rng,
                       const EngineConfig& config) {
-  detail::validate_trial_args(strategy, k, env);
+  detail::validate_trial_args(strategy, k, env, config);
   if (strategy.plane != nullptr) {
     return run_plane_backend_trial(*strategy.plane, k, env, trial_rng,
                                    config);

@@ -26,10 +26,11 @@
 //     apply — integer delays and lifetimes read as continuous time units —
 //     so a paired grid-vs-plane sweep perturbs both substrates identically.
 //
-// Under a sync/no-crash single-target environment all backends reproduce
-// the historical run_search / run_step_search / run_plane_search results
-// exactly (test-enforced byte-for-byte), so the legacy entry points are
-// thin wrappers over this executor.
+// run_trial is the scalar executor: the batch executor (sim/batch/) is
+// pinned to it byte for byte, and the test suite uses it as the oracle.
+// Single-trial callers build an environment with single_target_environment
+// (the base model) or draw_environment (schedules and crashes) and call
+// run_trial directly; there is no other single-trial entry point.
 #pragma once
 
 #include <functional>
@@ -118,7 +119,15 @@ struct TrialEnvironment {
   /// false: the race ends at the first target found (classic).
   /// true: the trial runs until every spawned target is found (or the time
   /// cap); TrialResult::target_times records per-target discovery times and
-  /// TrialResult::time becomes the time-to-all-found.
+  /// TrialResult::time becomes the time-to-all-found. Requires a finite
+  /// EngineConfig::time_cap.
+  ///
+  /// Collect-all is the paper's foraging motivation made measurable: central
+  /// place foragers hold "a strong preference to locate nearby food sources
+  /// before those that are further away", a preference a single treasure
+  /// cannot show. Against a SET of targets (food patches) the discovery
+  /// schedule — which patch is found first, and when each one is found —
+  /// reveals the nearest-first order (examples/patchy_foraging.cpp).
   bool collect_all = false;
 
   /// Latest start delay (0 for the base model).
@@ -172,8 +181,9 @@ struct TrialStrategy {
 /// lock-step, or plane backend; throws std::invalid_argument on k < 1, an
 /// empty (or wrong-substrate) target set — except that a windowed process
 /// may legitimately spawn zero targets — environment vectors of the wrong
-/// size, a null strategy, a step strategy without a finite config.time_cap,
-/// or target drift / dwell capture with a non-step strategy. The plane backend reads config.sight_radius /
+/// size, a null strategy, a step strategy or a collect-all environment
+/// without a finite config.time_cap, or target drift / dwell capture with a
+/// non-step strategy. The plane backend reads config.sight_radius /
 /// config.spiral_pitch and maps config.time_cap == kNeverTime to
 /// plane::kPlaneNever; its times come back fractional, the grid backends'
 /// as exact integers (TrialResult times are doubles for exactly this).
@@ -181,7 +191,8 @@ TrialResult run_trial(const TrialStrategy& strategy, int k,
                       const TrialEnvironment& env, const rng::Rng& trial_rng,
                       const EngineConfig& config = {});
 
-/// Convenience overloads for direct engine-level use (tests, examples).
+/// Convenience overloads for direct engine-level use (tests, examples,
+/// benches).
 TrialResult run_trial(const Strategy& strategy, int k,
                       const TrialEnvironment& env, const rng::Rng& trial_rng,
                       const EngineConfig& config = {});
@@ -252,7 +263,8 @@ namespace detail {
 
 /// Throws std::invalid_argument exactly as run_trial documents.
 void validate_trial_args(const TrialStrategy& strategy, int k,
-                         const TrialEnvironment& env);
+                         const TrialEnvironment& env,
+                         const EngineConfig& config);
 
 /// Handles a grid target sitting on the source node: every agent that ever
 /// starts finds it the moment it wakes up, so the earliest ALIVE starter

@@ -137,9 +137,11 @@ TEST(PlaneUniform, FindsTreasureSmallScale) {
     const rng::Rng trial(static_cast<std::uint64_t>(t) * 131 + 7);
     rng::Rng placement = trial.child(0xFACADE);
     const Vec2 treasure = unit(placement.angle()) * 12.0;
+    PlaneTrialEnvironment env;
+    env.targets = {treasure};
     PlaneEngineConfig config;
     config.time_cap = 1 << 20;
-    const auto r = run_plane_search(s, 4, treasure, trial, config);
+    const auto r = run_plane_trial(s, 4, env, trial, config);
     found += r.found;
   }
   EXPECT_GT(static_cast<double>(found) / trials, 0.9);

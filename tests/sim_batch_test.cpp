@@ -519,7 +519,11 @@ TEST(BatchRunnerSegment, SaturatedClocksMatchRunTrial) {
         env.target_vanish = {1e300, 1e300};
       }
       env.collect_all = mode == 2;
-      expect_same_outcome_or_throw(s, k, env, EngineConfig{},
+      // Collect-all requires a finite cap; util::kTimeCap still admits every
+      // hit, since saturated clocks and hit times stop there.
+      EngineConfig config;
+      if (env.collect_all) config.time_cap = util::kTimeCap;
+      expect_same_outcome_or_throw(s, k, env, config,
                                    static_cast<std::uint64_t>(10 * mode + k));
     }
   }

@@ -1,8 +1,9 @@
-// The load-bearing property test of the whole simulator: the analytic
-// engine (closed-form hit detection, shrinking bounds) must agree EXACTLY
-// with a brute-force simulation that materializes every visited node of
-// every agent, for every strategy in the library, across many random
-// instances.
+// The load-bearing property test of the whole simulator: both trial
+// executors — the scalar run_trial and the batch executor production sweeps
+// run (BatchRunner::run_one), each with closed-form hit detection and
+// shrinking bounds — must agree EXACTLY with a brute-force simulation that
+// materializes every visited node of every agent, for every strategy in
+// the library, across many random instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,9 @@
 #include "core/known_k.h"
 #include "core/uniform.h"
 #include "grid/ball.h"
+#include "sim/batch/batch.h"
 #include "sim/engine.h"
+#include "sim/trial.h"
 #include "util/sat.h"
 
 namespace ants::sim {
@@ -27,11 +30,11 @@ namespace {
 /// Brute-force reference: enumerates every visited node with for_each_visit
 /// and returns the earliest treasure visit <= cap (same agent-rng derivation
 /// as the engine).
-SearchResult brute_force_search(const Strategy& strategy, int k,
-                                grid::Point treasure,
-                                const rng::Rng& trial_rng, Time cap) {
-  SearchResult result;
-  result.time = cap;
+TrialResult brute_force_search(const Strategy& strategy, int k,
+                               grid::Point treasure,
+                               const rng::Rng& trial_rng, Time cap) {
+  TrialResult result;
+  result.time = static_cast<double>(cap);
   Time best = kNeverTime;
 
   for (int a = 0; a < k; ++a) {
@@ -59,7 +62,7 @@ SearchResult brute_force_search(const Strategy& strategy, int k,
 
   if (best != kNeverTime) {
     result.found = true;
-    result.time = best;
+    result.time = static_cast<double>(best);
   }
   return result;
 }
@@ -78,18 +81,31 @@ void expect_engine_matches_brute_force(const Strategy& strategy, int k,
   const rng::Rng trial_rng(seed);
   EngineConfig config;
   config.time_cap = cap;
-  const SearchResult fast = run_search(strategy, k, treasure, trial_rng,
-                                       config);
-  const SearchResult slow =
+  const TrialEnvironment env = single_target_environment(treasure);
+  const TrialResult slow =
       brute_force_search(strategy, k, treasure, trial_rng, cap);
-
-  ASSERT_EQ(fast.found, slow.found)
-      << strategy.name() << " k=" << k << " seed=" << seed << " D=" << d;
-  ASSERT_EQ(fast.time, slow.time)
-      << strategy.name() << " k=" << k << " seed=" << seed << " D=" << d;
-  if (fast.found) {
-    ASSERT_EQ(fast.finder, slow.finder)
-        << strategy.name() << " k=" << k << " seed=" << seed;
+  TrialStrategy family;
+  family.segment = &strategy;
+  batch::BatchRunner runner(family, k, config);
+  const struct {
+    const char* executor;
+    TrialResult fast;
+  } runs[] = {
+      {"run_trial", run_trial(strategy, k, env, trial_rng, config)},
+      {"run_one", runner.run_one(env, trial_rng)},
+  };
+  for (const auto& [executor, fast] : runs) {
+    ASSERT_EQ(fast.found, slow.found) << executor << " " << strategy.name()
+                                      << " k=" << k << " seed=" << seed
+                                      << " D=" << d;
+    ASSERT_EQ(fast.time, slow.time) << executor << " " << strategy.name()
+                                    << " k=" << k << " seed=" << seed
+                                    << " D=" << d;
+    if (fast.found) {
+      ASSERT_EQ(fast.finder, slow.finder)
+          << executor << " " << strategy.name() << " k=" << k
+          << " seed=" << seed;
+    }
   }
 }
 

@@ -1,43 +1,74 @@
-#include "sim/multi_target.h"
-
+// Multiple treasures: the paper's foraging motivation, through run_trial.
+//
+// First-of-set races (TrialEnvironment with several targets) report which
+// patch is discovered first; collect-all environments (env.collect_all)
+// keep the agents searching to the cap and report every patch's
+// first-visit time — the discovery schedule behind the nearest-first
+// preference of central place foragers.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/harmonic.h"
 #include "core/known_k.h"
+#include "plane/strategies.h"
+#include "sim/batch/batch.h"
+#include "sim/trial.h"
 #include "test_support.h"
 
 namespace ants::sim {
 namespace {
 
-using testing::PerAgentScriptedStrategy;
 using testing::ScriptedStrategy;
+
+TrialEnvironment targets_environment(std::vector<grid::Point> targets,
+                                     bool collect_all = false) {
+  TrialEnvironment env;
+  env.targets = std::move(targets);
+  env.collect_all = collect_all;
+  return env;
+}
 
 TEST(MultiTarget, RejectsBadArguments) {
   const ScriptedStrategy s({GoTo{grid::Point{1, 0}}});
   const rng::Rng trial(1);
-  EXPECT_THROW(run_search_multi(s, 0, {grid::Point{1, 0}}, trial),
+  EXPECT_THROW(run_trial(s, 0, targets_environment({{1, 0}}), trial),
                std::invalid_argument);
-  EXPECT_THROW(run_search_multi(s, 1, {}, trial), std::invalid_argument);
-  // Collect-all needs a finite cap.
-  EXPECT_THROW(
-      run_search_multi(s, 1, {grid::Point{1, 0}}, trial, {}, true),
-      std::invalid_argument);
-}
+  EXPECT_THROW(run_trial(s, 1, targets_environment({}), trial),
+               std::invalid_argument);
 
-TEST(MultiTarget, SingleTargetMatchesPlainEngine) {
-  const core::KnownKStrategy s(4);
-  const grid::Point treasure{9, -5};
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const rng::Rng trial(seed);
-    const SearchResult plain = run_search(s, 4, treasure, trial);
-    const MultiSearchResult multi =
-        run_search_multi(s, 4, {treasure}, trial);
-    ASSERT_EQ(multi.first_time, plain.time) << seed;
-    ASSERT_EQ(multi.finder, plain.finder) << seed;
-    ASSERT_EQ(multi.first_target, 0);
+  // Collect-all needs a finite cap: its agents search until every target
+  // is found, so an unreachable target would only stop at the segment
+  // budget. Both executors, both substrates; the small budget makes a
+  // missing guard fail fast with the budget's runtime_error.
+  const plane::PlaneKnownKStrategy plane_strategy(1);
+  EngineConfig uncapped;
+  uncapped.max_segments_per_agent = 1000;
+  TrialEnvironment grid_env = targets_environment({{1, 0}}, true);
+  TrialEnvironment plane_env;
+  plane_env.plane_targets = {{5.0, 0.0}};
+  plane_env.collect_all = true;
+  TrialStrategy grid_family;
+  grid_family.segment = &s;
+  TrialStrategy plane_family;
+  plane_family.plane = &plane_strategy;
+  for (const auto& [family, env] :
+       {std::pair{grid_family, grid_env}, std::pair{plane_family, plane_env}}) {
+    EXPECT_THROW(run_trial(family, 1, env, trial, uncapped),
+                 std::invalid_argument);
+    batch::BatchRunner runner(family, 1, uncapped);
+    EXPECT_THROW(runner.run_one(env, trial), std::invalid_argument);
   }
+  plane::PlaneTrialEnvironment native_env;
+  native_env.targets = {{5.0, 0.0}};
+  native_env.collect_all = true;
+  plane::PlaneEngineConfig native_uncapped;
+  native_uncapped.max_segments_per_agent = 1000;
+  EXPECT_THROW(plane::run_plane_trial(plane_strategy, 1, native_env, trial,
+                                      native_uncapped),
+               std::invalid_argument);
 }
 
 TEST(MultiTarget, NearTargetOnPathWinsRace) {
@@ -45,20 +76,20 @@ TEST(MultiTarget, NearTargetOnPathWinsRace) {
   // with the exact walk offset.
   const ScriptedStrategy s({GoTo{grid::Point{10, 0}}});
   const rng::Rng trial(2);
-  const auto r = run_search_multi(
-      s, 1, {grid::Point{10, 0}, grid::Point{3, 0}}, trial);
+  const TrialResult r =
+      run_trial(s, 1, targets_environment({{10, 0}, {3, 0}}), trial);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.first_target, 1);
-  EXPECT_EQ(r.first_time, 3);
+  EXPECT_EQ(r.time, 3);
 }
 
 TEST(MultiTarget, TargetAtOriginIsInstant) {
   const ScriptedStrategy s({GoTo{grid::Point{5, 5}}});
   const rng::Rng trial(3);
-  const auto r = run_search_multi(
-      s, 2, {grid::Point{7, 7}, grid::kOrigin}, trial);
+  const TrialResult r =
+      run_trial(s, 2, targets_environment({{7, 7}, grid::kOrigin}), trial);
   EXPECT_TRUE(r.found);
-  EXPECT_EQ(r.first_time, 0);
+  EXPECT_EQ(r.time, 0);
   EXPECT_EQ(r.first_target, 1);
 }
 
@@ -69,14 +100,18 @@ TEST(MultiTarget, CollectAllRecordsEveryVisit) {
   const rng::Rng trial(4);
   EngineConfig config;
   config.time_cap = 1000;
-  const auto r = run_search_multi(
-      s, 1, {grid::Point{4, 0}, grid::Point{4, 3}, grid::Point{50, 50}},
-      trial, config, /*collect_all=*/true);
-  EXPECT_TRUE(r.found);
+  const TrialResult r = run_trial(
+      s, 1, targets_environment({{4, 0}, {4, 3}, {50, 50}}, true), trial,
+      config);
+  // `found` means EVERY target was found; the far one never is.
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(r.time, 1000);  // time-to-all-found, censored at the cap
   EXPECT_EQ(r.first_target, 0);
+  EXPECT_EQ(r.finder, 0);
+  ASSERT_EQ(r.target_times.size(), 3u);
   EXPECT_EQ(r.target_times[0], 4);
   EXPECT_EQ(r.target_times[1], 7);
-  EXPECT_EQ(r.target_times[2], kNeverTime);  // never reached within the cap
+  EXPECT_EQ(r.target_times[2], -1);  // never reached within the cap
 }
 
 TEST(MultiTarget, CollectAllMatchesFirstOfSetOnTheWinner) {
@@ -86,14 +121,16 @@ TEST(MultiTarget, CollectAllMatchesFirstOfSetOnTheWinner) {
     const rng::Rng trial(seed);
     EngineConfig config;
     config.time_cap = 200'000;
-    const auto race = run_search_multi(s, 6, targets, trial, config, false);
-    const auto all = run_search_multi(s, 6, targets, trial, config, true);
-    ASSERT_EQ(race.found, all.found) << seed;
+    const TrialResult race =
+        run_trial(s, 6, targets_environment(targets), trial, config);
+    const TrialResult all =
+        run_trial(s, 6, targets_environment(targets, true), trial, config);
+    ASSERT_EQ(race.found, all.first_target >= 0) << seed;
     if (race.found) {
-      ASSERT_EQ(race.first_time, all.first_time) << seed;
       ASSERT_EQ(race.first_target, all.first_target) << seed;
+      ASSERT_EQ(race.finder, all.finder) << seed;
       EXPECT_EQ(all.target_times[static_cast<std::size_t>(all.first_target)],
-                all.first_time);
+                race.time);
     }
   }
 }
@@ -103,18 +140,18 @@ TEST(MultiTarget, DiscoveryTimesAreMonotoneInTargetDistance) {
   // patches are discovered earlier — the central-place-foraging preference
   // from the paper's introduction.
   const core::HarmonicStrategy s(0.5);
-  const std::vector<grid::Point> targets{{4, 0}, {0, 16}, {-48, 0}};
+  const TrialEnvironment env =
+      targets_environment({{4, 0}, {0, 16}, {-48, 0}}, true);
   double sums[3] = {0, 0, 0};
   const int trials = 60;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     const rng::Rng trial(seed * 31 + 5);
     EngineConfig config;
     config.time_cap = 500'000;
-    const auto r = run_search_multi(s, 8, targets, trial, config, true);
+    const TrialResult r = run_trial(s, 8, env, trial, config);
     for (int i = 0; i < 3; ++i) {
-      sums[i] += static_cast<double>(
-          std::min(r.target_times[static_cast<std::size_t>(i)],
-                   config.time_cap));
+      const double t = r.target_times[static_cast<std::size_t>(i)];
+      sums[i] += t < 0 ? static_cast<double>(config.time_cap) : t;
     }
   }
   EXPECT_LT(sums[0], sums[1]);
@@ -125,13 +162,13 @@ TEST(MultiTarget, NearestFirstProbabilityIsHigh) {
   // First-of-set mode: the patch at distance 4 should win the race against
   // the patch at distance 40 almost always.
   const core::HarmonicStrategy s(0.5);
+  const TrialEnvironment env = targets_environment({{2, 2}, {20, 20}});
   int near_wins = 0, races = 0;
   for (std::uint64_t seed = 0; seed < 80; ++seed) {
     const rng::Rng trial(seed * 17 + 3);
     EngineConfig config;
     config.time_cap = 1'000'000;
-    const auto r = run_search_multi(
-        s, 8, {grid::Point{2, 2}, grid::Point{20, 20}}, trial, config);
+    const TrialResult r = run_trial(s, 8, env, trial, config);
     if (!r.found) continue;
     ++races;
     near_wins += (r.first_target == 0);
@@ -142,11 +179,11 @@ TEST(MultiTarget, NearestFirstProbabilityIsHigh) {
 
 TEST(MultiTarget, DeterministicPerSeed) {
   const core::KnownKStrategy s(8);
-  const std::vector<grid::Point> targets{{5, 5}, {-7, 2}};
+  const TrialEnvironment env = targets_environment({{5, 5}, {-7, 2}});
   const rng::Rng trial(99);
-  const auto a = run_search_multi(s, 8, targets, trial);
-  const auto b = run_search_multi(s, 8, targets, trial);
-  EXPECT_EQ(a.first_time, b.first_time);
+  const TrialResult a = run_trial(s, 8, env, trial);
+  const TrialResult b = run_trial(s, 8, env, trial);
+  EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.finder, b.finder);
   EXPECT_EQ(a.first_target, b.first_target);
 }

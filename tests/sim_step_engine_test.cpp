@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "baselines/random_walk.h"
+#include "sim/trial.h"
 
 namespace ants::sim {
 namespace {
@@ -46,8 +47,9 @@ class FanOutStrategy final : public StepStrategy {
 
 TEST(StepEngine, DeterministicMarchHitsAtDistance) {
   rng::Rng rng(1);
-  const SearchResult r =
-      run_step_search(EastStrategy{}, 1, {25, 0}, rng, 1000);
+  const TrialResult r = run_trial(
+      EastStrategy{}, 1, single_target_environment({25, 0}), rng,
+      {.time_cap = 1000});
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 25);
   EXPECT_EQ(r.finder, 0);
@@ -55,15 +57,18 @@ TEST(StepEngine, DeterministicMarchHitsAtDistance) {
 
 TEST(StepEngine, MissesOffAxisTarget) {
   rng::Rng rng(2);
-  const SearchResult r = run_step_search(EastStrategy{}, 1, {5, 1}, rng, 100);
+  const TrialResult r = run_trial(
+      EastStrategy{}, 1, single_target_environment({5, 1}), rng,
+      {.time_cap = 100});
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.time, 100);
 }
 
 TEST(StepEngine, TreasureAtSourceInstant) {
   rng::Rng rng(3);
-  const SearchResult r =
-      run_step_search(EastStrategy{}, 2, grid::kOrigin, rng, 10);
+  const TrialResult r = run_trial(
+      EastStrategy{}, 2, single_target_environment(grid::kOrigin), rng,
+      {.time_cap = 10});
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 0);
 }
@@ -71,8 +76,9 @@ TEST(StepEngine, TreasureAtSourceInstant) {
 TEST(StepEngine, FanOutFinderIdentity) {
   rng::Rng rng(4);
   // Treasure north: only agent with direction (0,1) (index 1 mod 4) hits.
-  const SearchResult r =
-      run_step_search(FanOutStrategy{}, 4, {0, 12}, rng, 100);
+  const TrialResult r = run_trial(
+      FanOutStrategy{}, 4, single_target_environment({0, 12}), rng,
+      {.time_cap = 100});
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 12);
   EXPECT_EQ(r.finder, 1);
@@ -80,14 +86,8 @@ TEST(StepEngine, FanOutFinderIdentity) {
 
 TEST(StepEngine, RequiresFiniteCap) {
   rng::Rng rng(5);
-  EXPECT_THROW(
-      run_step_search(EastStrategy{}, 1, {1, 0}, rng, kNeverTime),
-      std::invalid_argument);
-}
-
-TEST(StepEngine, RejectsNonPositiveK) {
-  rng::Rng rng(6);
-  EXPECT_THROW(run_step_search(EastStrategy{}, 0, {1, 0}, rng, 10),
+  EXPECT_THROW(run_trial(EastStrategy{}, 1, single_target_environment({1, 0}),
+                         rng, {.time_cap = kNeverTime}),
                std::invalid_argument);
 }
 
@@ -99,7 +99,8 @@ TEST(StepEngine, RandomWalkFindsAdjacentTreasureUsually) {
   int found = 0;
   for (int trial = 0; trial < 50; ++trial) {
     rng::Rng rng(1000 + static_cast<std::uint64_t>(trial));
-    const SearchResult r = run_step_search(rw, 8, {1, 0}, rng, 10000);
+    const TrialResult r = run_trial(rw, 8, single_target_environment({1, 0}),
+                                    rng, {.time_cap = 10000});
     found += r.found ? 1 : 0;
   }
   EXPECT_GE(found, 45);
@@ -108,8 +109,9 @@ TEST(StepEngine, RandomWalkFindsAdjacentTreasureUsually) {
 TEST(StepEngine, RandomWalkDeterministicPerSeed) {
   const baselines::RandomWalkStrategy rw;
   rng::Rng a(99), b(99);
-  const SearchResult ra = run_step_search(rw, 3, {2, 1}, a, 5000);
-  const SearchResult rb = run_step_search(rw, 3, {2, 1}, b, 5000);
+  const TrialEnvironment env = single_target_environment({2, 1});
+  const TrialResult ra = run_trial(rw, 3, env, a, {.time_cap = 5000});
+  const TrialResult rb = run_trial(rw, 3, env, b, {.time_cap = 5000});
   EXPECT_EQ(ra.found, rb.found);
   EXPECT_EQ(ra.time, rb.time);
   EXPECT_EQ(ra.finder, rb.finder);

@@ -10,7 +10,8 @@
 //   3. determinism: same rng seed => identical op stream;
 //   4. engine integration: a small-scale collaborative search terminates
 //      and (for the searching strategies) succeeds under a generous cap;
-//   5. sync/no-crash async runs reproduce the plain engine exactly.
+//   5. explicit sync/no-crash environment draws reproduce the base model
+//      exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,6 +36,7 @@
 #include "sim/engine.h"
 #include "sim/placement.h"
 #include "sim/runner.h"
+#include "sim/trial.h"
 
 namespace ants {
 namespace {
@@ -161,17 +163,21 @@ TEST_P(StrategyConformanceTest, SmallScaleSearchTerminates) {
 }
 
 TEST_P(StrategyConformanceTest, AsyncSyncNoCrashMatchesPlainEngine) {
+  // Drawn all-zero starts and immortal lifetimes must run exactly like the
+  // base model's empty start/lifetime vectors.
   const auto strategy = GetParam().make();
   const grid::Point treasure{5, -3};
   sim::EngineConfig config;
   config.time_cap = 1 << 20;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const rng::Rng trial(seed);
-    const sim::SearchResult plain =
-        run_search(*strategy, 8, treasure, trial, config);
-    const sim::TrialResult async = run_search_async(
-        *strategy, 8, treasure, trial, sim::SyncStart(), sim::NoCrash(),
-        config);
+    const sim::TrialResult plain = sim::run_trial(
+        *strategy, 8, sim::single_target_environment(treasure), trial, config);
+    const sim::TrialResult async = sim::run_trial(
+        *strategy, 8,
+        sim::draw_environment(8, {treasure}, sim::SyncStart(), sim::NoCrash(),
+                              trial),
+        trial, config);
     ASSERT_EQ(async.found, plain.found) << seed;
     ASSERT_EQ(async.time, plain.time) << seed;
     ASSERT_EQ(async.finder, plain.finder) << seed;
