@@ -39,6 +39,17 @@ double epoch_ceiling(double floor) noexcept {
 bool acts(Time clock, Time limit) noexcept { return clock <= limit; }
 bool acts(double clock, double limit) noexcept { return clock < limit; }
 
+/// The target kinds the grid loops are instantiated for (see
+/// BatchRunner::run_segment). Being file-local, they give each
+/// instantiation internal linkage, so GCC inlines its single-use helpers —
+/// the epoch advance and the per-segment step — as in a plain function.
+struct StaticTargets {
+  static constexpr bool kDynamic = false;
+};
+struct TargetProcess {
+  static constexpr bool kDynamic = true;
+};
+
 const char* budget_error(Time) noexcept {
   return "run_trial: agent exceeded segment budget without terminating";
 }
@@ -69,8 +80,12 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
   kernels_ = &kernels_for(active_simd_level());
   detail::validate_trial_args(strategy_, k_, env, config_);
   if (strategy_.plane != nullptr) return run_plane(env, trial_rng);
-  if (strategy_.step != nullptr) return run_step(env, trial_rng);
-  return run_segment(env, trial_rng);
+  if (strategy_.step != nullptr) {
+    return env.has_dynamic_targets() ? run_step<TargetProcess>(env, trial_rng)
+                                     : run_step<StaticTargets>(env, trial_rng);
+  }
+  return env.has_dynamic_targets() ? run_segment<TargetProcess>(env, trial_rng)
+                                   : run_segment<StaticTargets>(env, trial_rng);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,27 +248,127 @@ void BatchRunner::settle_final_epoch(Clock floor, Inside inside,
   }
 }
 
+// Collect-all: the decisive time T is the time the last target falls. At T
+// the heap ran the segments starting before T, then those starting at T in
+// agent order up to the one that finds the last target found at T only on
+// a segment's first node; a target's first-node finder is credited only if
+// the heap ran that segment.
+template <typename Clock, typename Inside, typename Result>
+void BatchRunner::settle_collect_all(Clock floor, Inside inside,
+                                     const std::vector<Clock>& best,
+                                     const std::vector<Clock>& zbest,
+                                     Clock never, Clock cap, Clock last_start,
+                                     Result* result) const {
+  const std::size_t nt = best.size();
+  Clock decisive = 0;  // never while some target is unfound
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    decisive = std::max(decisive, std::min(best[ti], zbest[ti]));
+  }
+  int tie_agent = -1;
+  std::uint64_t tie_last = 0;
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    if (zbest[ti] != decisive || best[ti] <= decisive) continue;
+    const int f = zfinder_t_[ti];
+    const std::uint64_t r = zrecord_t_[ti];
+    if (f > tie_agent) {
+      tie_agent = f;
+      tie_last = r;
+    } else if (f == tie_agent) {
+      tie_last = std::max(tie_last, r);
+    }
+  }
+  settle_final_epoch(floor, inside, decisive, tie_agent, tie_last,
+                     &result->segments, &result->crashed);
+
+  // Each target's time and finder as the heap credits them; the earliest
+  // find (ties: lowest agent, then lowest target) fills finder and
+  // first_target, also when the race is censored.
+  Clock first_time = never;
+  for (std::size_t ti = 0; ti < nt; ++ti) {
+    const Clock b = std::min(best[ti], zbest[ti]);
+    if (b == never) continue;
+    int f = best[ti] == b ? finder_t_[ti] : INT_MAX;
+    const bool heap_ran_it =
+        b != decisive || zfinder_t_[ti] < tie_agent ||
+        (zfinder_t_[ti] == tie_agent && zrecord_t_[ti] <= tie_last);
+    if (zbest[ti] == b && heap_ran_it) f = std::min(f, zfinder_t_[ti]);
+    result->target_times[ti] = static_cast<double>(b);
+    if (b < first_time || (b == first_time && f < result->finder)) {
+      first_time = b;
+      result->finder = f;
+      result->first_target = static_cast<int>(ti);
+    }
+  }
+  if (decisive != never) {
+    result->found = true;
+    result->time = static_cast<double>(decisive);
+    result->from_last_start =
+        static_cast<double>(decisive > last_start ? decisive - last_start : 0);
+  } else {
+    result->found = false;
+    result->time = static_cast<double>(cap);
+    result->from_last_start = static_cast<double>(cap);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Segment backend: the scalar executor's heap sweep (see sim/trial.cpp) run
+// Segment backend: the scalar executor's heap sweeps (see sim/trial.cpp) run
 // as epoch advance, with the Segment variant flattened into direct hit
-// tests. A walk's targets are prefiltered by the endpoint bounding box (a
-// staircase is monotone, so it never leaves it), and the StaircasePath is
-// only constructed when some target survives the box.
+// tests. A static target is the degenerate target process: no window and
+// first-find mode (drift and dwell were rejected by validate_trial_args for
+// this family); its instantiation (kDynamic = false) folds the window and
+// collect-all branches away and keeps the scalar path's origin-target
+// shortcut. A walk's targets are prefiltered by the endpoint bounding
+// box (a staircase is monotone, so it never leaves it), and the
+// StaircasePath is only constructed when some target survives the box.
 //
-// Hits are ranked by (time, lying past the segment's first node, agent,
-// target). The second key is the heap's order at the decisive time T: it
-// pops every segment starting before T — so every hit at T past a first
-// node — before any segment starting at T, and once the bound drops below
-// T it pops none of those. A hit at the start time of its segment (a
+// Under a target process a target is skipped before any geometry when it
+// vanished by the segment's start or (collect-all) was found strictly
+// before it; otherwise the scans reproduce hit_offset_from exactly: walks
+// and spirals visit each node at most once, so their unique hit counts iff
+// its offset is not before the window's first admissible offset; explicit
+// paths rescan from that offset.
+//
+// The first-find race ranks hits by (time, lying past the segment's first
+// node, agent, target). The second key is the heap's order at the decisive
+// time T: it pops every segment starting before T — so every hit at T past
+// a first node — before any segment starting at T, and once the bound drops
+// below T it pops none of those. A hit at the start time of its segment (a
 // target appearing under a resting agent, a clock saturated at
 // util::kTimeCap) only counts when no hit at T lies past a first node.
+// Collect-all keeps per-target bests on and past a segment's first node
+// with their epoch ordinals, reconciled by settle_collect_all; its bound is
+// min(cap, the loosest per-target best - 1), the cap while any target is
+// unfound.
 
-void BatchRunner::start_segment_agents(const TrialEnvironment& env,
-                                       const rng::Rng& trial_rng,
-                                       int* crashed) {
+template <typename Targets>
+TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
+                                     const rng::Rng& trial_rng) {
+  constexpr bool kDynamic = Targets::kDynamic;
+  if (env.last_start() > util::kTimeCap) {
+    // A hand-built start beyond the saturation cap: the agent's clock would
+    // fall back to kTimeCap after its first segment, and its hits would
+    // precede that segment's start — the two orderings epoch advance rests
+    // on. No schedule draws such starts; delegate, counted.
+    ++scalar_fallbacks_;
+    return run_trial(strategy_, k_, env, trial_rng, config_);
+  }
   const Strategy& strategy = *strategy_.segment;
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
+  const Time cap = config_.time_cap;
+  const Time last_start = env.last_start();
+  const std::size_t nt = env.targets.size();
+  const bool windows = kDynamic && env.has_target_windows();
+  const bool collect = kDynamic && env.collect_all;
+
+  TrialResult result;
+  result.last_start = static_cast<double>(last_start);
+  if (collect) result.target_times.assign(nt, -1.0);
+  if (!kDynamic && detail::resolve_origin_target(env, k, cap, &result)) {
+    return result;
+  }
+
   seg_programs_.clear();
   rngs_.clear();
   for (int a = 0; a < k; ++a) {
@@ -266,55 +381,66 @@ void BatchRunner::start_segment_agents(const TrialEnvironment& env,
   pos_y_.assign(uk, 0);
   seg_count_.assign(uk, 0);
   live_.clear();
-  for (std::size_t a = 0; a < uk; ++a) {
-    const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[a];
+  for (std::size_t ia = 0; ia < uk; ++ia) {
+    const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
     if (life <= 0) {
-      ++*crashed;  // dead on arrival: never acts
+      ++result.crashed;  // dead on arrival: never acts
       continue;
     }
-    clock_[a] = env.starts.empty() ? Time{0} : env.starts[a];
-    live_.push_back(static_cast<std::uint32_t>(a));
+    clock_[ia] = env.starts.empty() ? Time{0} : env.starts[ia];
+    live_.push_back(static_cast<std::uint32_t>(ia));
   }
-}
-
-TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
-                                     const rng::Rng& trial_rng) {
-  if (env.last_start() > util::kTimeCap) {
-    // A hand-built start beyond the saturation cap: the agent's clock would
-    // fall back to kTimeCap after its first segment, and its hits would
-    // precede that segment's start — the two orderings epoch advance rests
-    // on. No schedule draws such starts; delegate, counted.
-    ++scalar_fallbacks_;
-    return run_trial(strategy_, k_, env, trial_rng, config_);
-  }
-  if (env.has_target_windows() || env.collect_all) {
-    // Same routing predicate as the scalar run_segment_trial: drift and
-    // dwell were rejected by validate_trial_args for this family.
-    return run_segment_dynamic(env, trial_rng);
-  }
-
-  const Time last_start = env.last_start();
-  TrialResult result;
-  result.last_start = static_cast<double>(last_start);
-  if (detail::resolve_origin_target(env, k_, config_.time_cap, &result)) {
+  if (collect && nt == 0) {
+    // Zero spawned targets: vacuously all found at t = 0; nobody acts.
+    result.found = true;
+    result.time = 0;
+    result.from_last_start = 0;
     return result;
   }
-  start_segment_agents(env, trial_rng, &result.crashed);
 
-  const std::size_t nt = env.targets.size();
   tgt_x_.resize(nt);
   tgt_y_.resize(nt);
   for (std::size_t ti = 0; ti < nt; ++ti) {
     tgt_x_[ti] = env.targets[ti].x;
     tgt_y_[ti] = env.targets[ti].y;
   }
+  if (windows) {
+    app_.resize(nt);
+    van_.resize(nt);
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      app_[ti] = detail::appear_of(env, ti);
+      van_[ti] = detail::vanish_of(env, ti);
+    }
+  }
 
+  // First-find race: the best hit so far.
   Time best = kNeverTime;
   bool best_on_first_node = false;
   int finder = -1;
   int first_target = -1;
   std::uint64_t best_record = 0;  // epoch ordinal of the best hit's segment
-  Time bound = config_.time_cap;  // min(cap, best - 1)
+  Time bound = cap;
+
+  // Collect-all: per-target bests past / on a segment's first node, and the
+  // loosest of their minima once every target has one.
+  std::size_t n_open = nt;
+  if (collect) {
+    best_t_.assign(nt, kNeverTime);
+    finder_t_.assign(nt, -1);
+    zbest_t_.assign(nt, kNeverTime);
+    zfinder_t_.assign(nt, -1);
+    zrecord_t_.assign(nt, 0);
+  }
+  const auto found_at = [this](std::size_t ti) {
+    return std::min(best_t_[ti], zbest_t_[ti]);
+  };
+  const auto collect_bound = [&] {
+    Time loosest = 0;
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      loosest = std::max(loosest, found_at(ti) - 1);
+    }
+    return std::min(cap, loosest);
+  };
 
   const auto step = [&](std::uint32_t ia) {
     const int a = static_cast<int>(ia);
@@ -327,8 +453,29 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       const Time when_active = util::sat_add(elapsed_[ia], hit);
       if (when_active > life) return;  // only counts while still alive
       const Time when_abs = util::sat_add(start, when_active);
-      if (when_abs > config_.time_cap) return;
+      if (when_abs > cap) return;
+      // The first in-window visit at or past vanish means every later
+      // revisit is as well (the live window is one interval).
+      if (windows && static_cast<double>(when_abs) >= van_[ti]) return;
       const bool on_first = when_abs == seg_start;
+      if (collect) {
+        Time& tbest = on_first ? zbest_t_[ti] : best_t_[ti];
+        int& tfinder = on_first ? zfinder_t_[ti] : finder_t_[ti];
+        if (when_abs < tbest || (when_abs == tbest && a < tfinder)) {
+          const Time was = found_at(ti);
+          tbest = when_abs;
+          tfinder = a;
+          if (on_first) zrecord_t_[ti] = epoch_segments_ - 1;
+          // The bound moves only when the last open target falls or the
+          // loosest one is found earlier.
+          if (was == kNeverTime) {
+            if (--n_open == 0) bound = collect_bound();
+          } else if (n_open == 0 && when_abs < was && was - 1 == bound) {
+            bound = collect_bound();
+          }
+        }
+        return;
+      }
       if (when_abs < best ||
           (when_abs == best &&
            ((!on_first && best_on_first_node) ||
@@ -338,200 +485,18 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         finder = a;
         first_target = static_cast<int>(ti);
         best_record = epoch_segments_ - 1;
-        bound = std::min(config_.time_cap, best - 1);
+        bound = std::min(cap, best - 1);
       }
     };
-
-    Time dur = 0;
-    grid::Point end = pos;
-    const auto scan_walk = [&](grid::Point from, grid::Point to) {
-      const std::int64_t xlo = std::min(from.x, to.x);
-      const std::int64_t xhi = std::max(from.x, to.x);
-      const std::int64_t ylo = std::min(from.y, to.y);
-      const std::int64_t yhi = std::max(from.y, to.y);
-      std::optional<grid::StaircasePath> path;
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
-        if (tgt.x < xlo || tgt.x > xhi || tgt.y < ylo || tgt.y > yhi) continue;
-        if (!path) path.emplace(from, to);
-        const auto hit = path->index_of(tgt);
-        if (hit) consider(*hit, ti);
-      }
-      dur = grid::l1_dist(from, to);
-      end = to;
-    };
-
-    const Op op = seg_programs_[ia]->next(rngs_[ia]);
-    if (const auto* go = std::get_if<GoTo>(&op)) {
-      scan_walk(pos, go->target);
-    } else if (std::get_if<ReturnToSource>(&op) != nullptr) {
-      scan_walk(pos, grid::kOrigin);
-    } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const std::int64_t idx = grid::spiral_index(
-            grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
-        if (idx > sp->duration) continue;
-        consider(idx, ti);
-      }
-      dur = sp->duration;
-      end = pos + grid::spiral_point(sp->duration);
-    } else {
-      const auto& fp = std::get<FollowPath>(op);
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
-        std::optional<Time> hit;
-        if (pos == tgt) {
-          hit = 0;
-        } else {
-          for (std::size_t i = 0; i < fp.steps.size(); ++i) {
-            if (fp.steps[i] == tgt) {
-              hit = static_cast<Time>(i + 1);
-              break;
-            }
-          }
-        }
-        if (hit) consider(*hit, ti);
-      }
-      dur = static_cast<Time>(fp.steps.size());
-      end = fp.steps.empty() ? pos : fp.steps.back();
-    }
-
-    elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
-    pos_x_[ia] = end.x;
-    pos_y_[ia] = end.y;
-    // A crash halts the agent mid-plan, wherever it died.
-    if (elapsed_[ia] >= life) return true;
-    clock_[ia] = util::sat_add(start, elapsed_[ia]);
-    return false;
-  };
-
-  const Time floor =
-      advance_epochs(clock_, bound, step, &result.segments, &result.crashed);
-  settle_final_epoch(
-      floor, [bound](Time s) { return s <= bound; }, best,
-      best_on_first_node ? finder : -1, best_record, &result.segments,
-      &result.crashed);
-
-  if (best != kNeverTime) {
-    result.found = true;
-    result.time = static_cast<double>(best);
-    result.finder = finder;
-    result.first_target = first_target;
-    result.from_last_start =
-        static_cast<double>(best > last_start ? best - last_start : 0);
-  } else {
-    result.found = false;
-    result.time = static_cast<double>(config_.time_cap);
-    result.from_last_start = static_cast<double>(config_.time_cap);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Segment backend, dynamic variant: the scalar run_segment_trial_dynamic
-// sweep (appear/vanish windows + collect-all; drift and dwell were rejected
-// by validate_trial_args for this family) as epoch advance over the same
-// SoA state as the static path. The flattened op scans reproduce
-// hit_offset_from exactly: walks and spirals visit each node at most once,
-// so their unique hit counts iff its offset is not before the window's
-// first admissible offset; explicit paths rescan from that offset.
-//
-// Per target, the earliest hit past a segment's first node and the
-// earliest hit on one are kept apart (each with its lowest agent), and the
-// heap's view is rebuilt after the advance. Below the decisive time T — the
-// first find, or in collect-all mode the time the last target falls — the
-// heap runs every segment, so both kinds count. At T it runs the segments
-// starting before T, then those starting at T in agent order until the
-// bound drops below T: in the first-find race, up to the lowest agent whose
-// first node hits (only if no hit at T lies past a first node); in
-// collect-all mode, up to the agent that finds the last target found only
-// on a first node.
-
-TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
-                                             const rng::Rng& trial_rng) {
-  const int k = k_;
-
-  const Time last_start = env.last_start();
-  const std::size_t nt = env.targets.size();
-  const bool collect = env.collect_all;
-  TrialResult result;
-  result.last_start = static_cast<double>(last_start);
-  if (collect) result.target_times.assign(nt, -1.0);
-  if (collect && nt == 0) {
-    // Zero spawned targets: vacuously all found at t = 0; nobody acts.
-    result.found = true;
-    result.time = 0;
-    result.from_last_start = 0;
-    for (int a = 0; a < k; ++a) {
-      if (!env.lifetimes.empty() &&
-          env.lifetimes[static_cast<std::size_t>(a)] <= 0) {
-        ++result.crashed;
-      }
-    }
-    return result;
-  }
-  start_segment_agents(env, trial_rng, &result.crashed);
-
-  tgt_x_.resize(nt);
-  tgt_y_.resize(nt);
-  app_.resize(nt);
-  van_.resize(nt);
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    tgt_x_[ti] = env.targets[ti].x;
-    tgt_y_[ti] = env.targets[ti].y;
-    app_[ti] = detail::appear_of(env, ti);
-    van_[ti] = detail::vanish_of(env, ti);
-  }
-  best_t_.assign(nt, kNeverTime);
-  finder_t_.assign(nt, -1);
-  zbest_t_.assign(nt, kNeverTime);
-  zfinder_t_.assign(nt, -1);
-  zrecord_t_.assign(nt, 0);
-
-  // The bound below which a segment can still change the outcome: in the
-  // first-find race the earliest hit - 1; in collect-all mode the loosest
-  // per-target bound (an unfound target keeps the cap open).
-  Time bound = config_.time_cap;
-  const auto collect_bound = [&] {
-    Time loosest = 0;
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-      const Time b = std::min(best_t_[ti], zbest_t_[ti]);
-      loosest = std::max(loosest, b == kNeverTime ? config_.time_cap : b - 1);
-    }
-    return std::min(config_.time_cap, loosest);
-  };
-
-  const auto step = [&](std::uint32_t ia) {
-    const int a = static_cast<int>(ia);
-    const Time start = env.starts.empty() ? Time{0} : env.starts[ia];
-    const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
-    const grid::Point pos{pos_x_[ia], pos_y_[ia]};
-    const Time base = clock_[ia];
-    bool lowered = false;
-
-    const auto consider = [&](Time hit, std::size_t ti) {
-      const Time when_active = util::sat_add(elapsed_[ia], hit);
-      if (when_active > life) return;  // only counts while still alive
-      const Time when_abs = util::sat_add(start, when_active);
-      if (when_abs > config_.time_cap) return;
-      // The first in-window visit at or past vanish means every later
-      // revisit is as well (the live window is one interval).
-      if (static_cast<double>(when_abs) >= van_[ti]) return;
-      const bool on_first = when_abs == base;
-      Time& best = on_first ? zbest_t_[ti] : best_t_[ti];
-      int& finder = on_first ? zfinder_t_[ti] : finder_t_[ti];
-      if (when_abs < best || (when_abs == best && a < finder)) {
-        if (when_abs < std::min(best_t_[ti], zbest_t_[ti])) {
-          if (collect) {
-            lowered = true;
-          } else {
-            bound = std::min(bound, when_abs - 1);
-          }
-        }
-        best = when_abs;
-        finder = a;
-        if (on_first) zrecord_t_[ti] = epoch_segments_ - 1;
-      }
+    // Target-process gates ahead of the hit tests: false when target ti
+    // cannot count in this segment; else *from is the window's first
+    // admissible offset into it.
+    const auto admit = [&](std::size_t ti, Time* from) {
+      if (collect && found_at(ti) < seg_start) return false;
+      if (!windows) return true;
+      if (van_[ti] <= static_cast<double>(seg_start)) return false;
+      *from = detail::window_from_offset(app_[ti], seg_start);
+      return true;
     };
 
     Time dur = 0;
@@ -545,11 +510,11 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
       for (std::size_t ti = 0; ti < nt; ++ti) {
         const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
         if (tgt.x < xlo || tgt.x > xhi || tgt.y < ylo || tgt.y > yhi) continue;
+        Time from = 0;
+        if (kDynamic && !admit(ti, &from)) continue;
         if (!path) path.emplace(from_pt, to);
         const auto hit = path->index_of(tgt);
-        if (!hit) continue;
-        if (*hit < detail::window_from_offset(app_[ti], base)) continue;
-        consider(*hit, ti);
+        if (hit && *hit >= from) consider(*hit, ti);
       }
       dur = grid::l1_dist(from_pt, to);
       end = to;
@@ -562,10 +527,11 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
       scan_walk(pos, grid::kOrigin);
     } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
       for (std::size_t ti = 0; ti < nt; ++ti) {
+        Time from = 0;
+        if (kDynamic && !admit(ti, &from)) continue;
         const std::int64_t idx = grid::spiral_index(
             grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
-        if (idx > sp->duration) continue;
-        if (idx < detail::window_from_offset(app_[ti], base)) continue;
+        if (idx > sp->duration || idx < from) continue;
         consider(idx, ti);
       }
       dur = sp->duration;
@@ -573,16 +539,17 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
     } else {
       const auto& fp = std::get<FollowPath>(op);
       for (std::size_t ti = 0; ti < nt; ++ti) {
+        Time from = 0;
+        if (kDynamic && !admit(ti, &from)) continue;
         const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
-        const Time from = detail::window_from_offset(app_[ti], base);
         std::optional<Time> hit;
-        if (from <= 0 && pos == tgt) {
+        if (from == 0 && pos == tgt) {
           hit = 0;
         } else {
           // Paths may revisit: first match at offset >= from (offset i + 1
           // is steps[i]; offset 0 is the start, already < from when > 0).
           for (std::size_t i =
-                   from <= 0 ? 0 : static_cast<std::size_t>(from - 1);
+                   from == 0 ? 0 : static_cast<std::size_t>(from - 1);
                i < fp.steps.size(); ++i) {
             if (fp.steps[i] == tgt) {
               hit = static_cast<Time>(i + 1);
@@ -596,7 +563,6 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
       end = fp.steps.empty() ? pos : fp.steps.back();
     }
 
-    if (lowered) bound = collect_bound();
     elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
     pos_x_[ia] = end.x;
     pos_y_[ia] = end.y;
@@ -608,204 +574,64 @@ TrialResult BatchRunner::run_segment_dynamic(const TrialEnvironment& env,
 
   const Time floor =
       advance_epochs(clock_, bound, step, &result.segments, &result.crashed);
-
-  // The decisive time T: the first find, or in collect-all mode the time
-  // the last target falls.
-  std::size_t n_found = 0;
-  Time t_all = 0;
-  Time t_first = kNeverTime;
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    const Time b = std::min(best_t_[ti], zbest_t_[ti]);
-    if (b == kNeverTime) continue;
-    ++n_found;
-    t_all = std::max(t_all, b);
-    t_first = std::min(t_first, b);
-  }
-  const bool all_found = collect ? n_found == nt : n_found > 0;
-  const Time decisive = !all_found ? kNeverTime : collect ? t_all : t_first;
-  // Targets found at T only on a first node: the heap ran segments starting
-  // at T up to tie_agent's hit at epoch ordinal tie_last — the last such
-  // target's in collect-all mode, the first such hit in the first-find race
-  // (and there only if no hit at T lies past a first node).
-  int tie_agent = -1;
-  std::uint64_t tie_last = 0;
-  bool past_first = false;
-  for (std::size_t ti = 0; ti < nt && decisive != kNeverTime; ++ti) {
-    past_first = past_first || best_t_[ti] == decisive;
-    if (zbest_t_[ti] != decisive || best_t_[ti] <= decisive) continue;
-    const int f = zfinder_t_[ti];
-    const std::uint64_t r = zrecord_t_[ti];
-    if (tie_agent < 0 || (collect ? f > tie_agent : f < tie_agent)) {
-      tie_agent = f;
-      tie_last = r;
-    } else if (f == tie_agent) {
-      tie_last = collect ? std::max(tie_last, r) : std::min(tie_last, r);
-    }
-  }
-  if (!collect && past_first) tie_agent = -1;
-  settle_final_epoch(
-      floor, [bound](Time s) { return s <= bound; }, decisive, tie_agent,
-      tie_last, &result.segments, &result.crashed);
-
-  // Each target's time and finder as the heap credits them; the earliest
-  // capture (ties: lowest agent, then lowest target) fills finder and
-  // first_target in both modes.
-  Time first_time = kNeverTime;
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    const Time b = std::min(best_t_[ti], zbest_t_[ti]);
-    if (b == kNeverTime) continue;
-    int f = best_t_[ti] == b ? finder_t_[ti] : INT_MAX;
-    const bool heap_ran_it =
-        b != decisive || zfinder_t_[ti] < tie_agent ||
-        (zfinder_t_[ti] == tie_agent && zrecord_t_[ti] <= tie_last);
-    if (zbest_t_[ti] == b && heap_ran_it) f = std::min(f, zfinder_t_[ti]);
-    if (f == INT_MAX) continue;  // first-find only: outranked at T anyway
-    if (collect) result.target_times[ti] = static_cast<double>(b);
-    if (b < first_time || (b == first_time && f < result.finder)) {
-      first_time = b;
-      result.finder = f;
-      result.first_target = static_cast<int>(ti);
-    }
-  }
-  if (all_found) {
-    const Time done = collect ? t_all : first_time;
-    result.found = true;
-    result.time = static_cast<double>(done);
-    result.from_last_start =
-        static_cast<double>(done > last_start ? done - last_start : 0);
-  } else {
-    result.found = false;
-    result.time = static_cast<double>(config_.time_cap);
-    result.from_last_start = static_cast<double>(config_.time_cap);
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Lock-step backend: tick-for-tick the scalar loop, with the per-tick
-// occupancy check (first target equal to the agent's new position) routed
-// through the find_point kernel — an in-order scan either way.
-
-TrialResult BatchRunner::run_step(const TrialEnvironment& env,
-                                  const rng::Rng& trial_rng) {
-  const StepStrategy& strategy = *strategy_.step;
-  const int k = k_;
-  const auto uk = static_cast<std::size_t>(k);
-
-  if (env.has_dynamic_targets()) return run_step_dynamic(env, trial_rng);
-
-  const Time last_start = env.last_start();
-  TrialResult result;
-  result.last_start = static_cast<double>(last_start);
-  if (detail::resolve_origin_target(env, k, config_.time_cap, &result)) {
+  const auto inside = [bound](Time s) { return s <= bound; };
+  if (collect) {
+    settle_collect_all(floor, inside, best_t_, zbest_t_, kNeverTime, cap,
+                       last_start, &result);
     return result;
   }
-
-  const auto start_of = [&](std::size_t ia) {
-    return env.starts.empty() ? Time{0} : env.starts[ia];
-  };
-  const auto lifetime_of = [&](std::size_t ia) {
-    return env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
-  };
-
-  step_programs_.clear();
-  rngs_.clear();
-  pos_x_.assign(uk, 0);
-  pos_y_.assign(uk, 0);
-  crashed_.assign(uk, 0);
-  for (int a = 0; a < k; ++a) {
-    const auto ia = static_cast<std::size_t>(a);
-    step_programs_.push_back(strategy.make_program(AgentContext{a, k}));
-    rngs_.push_back(trial_rng.child(static_cast<std::uint64_t>(a)));
-    if (lifetime_of(ia) <= 0) {
-      crashed_[ia] = 1;  // dead on arrival
-      ++result.crashed;
-    }
+  settle_final_epoch(floor, inside, best, best_on_first_node ? finder : -1,
+                     best_record, &result.segments, &result.crashed);
+  if (best != kNeverTime) {
+    result.found = true;
+    result.time = static_cast<double>(best);
+    result.finder = finder;
+    result.first_target = first_target;
+    result.from_last_start =
+        static_cast<double>(best > last_start ? best - last_start : 0);
+  } else {
+    result.found = false;
+    result.time = static_cast<double>(cap);
+    result.from_last_start = static_cast<double>(cap);
   }
-
-  const std::size_t nt = env.targets.size();
-  tgt_x_.resize(nt);
-  tgt_y_.resize(nt);
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    tgt_x_[ti] = env.targets[ti].x;
-    tgt_y_[ti] = env.targets[ti].y;
-  }
-
-  for (Time t = 1; t <= config_.time_cap; ++t) {
-    for (int a = 0; a < k; ++a) {
-      const auto ia = static_cast<std::size_t>(a);
-      if (crashed_[ia]) continue;
-      if (t <= start_of(ia)) continue;  // not yet started: waits at source
-      const Time active = t - start_of(ia);
-      if (active > lifetime_of(ia)) {
-        crashed_[ia] = 1;  // halts in place
-        ++result.crashed;
-        continue;
-      }
-      const grid::Point next =
-          step_programs_[ia]->step(rngs_[ia], grid::Point{pos_x_[ia],
-                                                          pos_y_[ia]});
-      assert(grid::l1_dist(next, grid::Point{pos_x_[ia], pos_y_[ia]}) <= 1);
-      pos_x_[ia] = next.x;
-      pos_y_[ia] = next.y;
-      ++result.segments;
-      // For a handful of targets the in-order scalar scan beats the kernel
-      // call; same first-match-in-order result either way.
-      std::size_t ti = kNpos;
-      if (nt < 8) {
-        for (std::size_t i = 0; i < nt; ++i) {
-          if (tgt_x_[i] == next.x && tgt_y_[i] == next.y) {
-            ti = i;
-            break;
-          }
-        }
-      } else {
-        ti = kernels_->find_point(tgt_x_.data(), tgt_y_.data(), nt, next.x,
-                                  next.y);
-      }
-      if (ti != kNpos) {
-        result.found = true;
-        result.time = static_cast<double>(t);
-        result.finder = a;
-        result.first_target = static_cast<int>(ti);
-        result.from_last_start =
-            static_cast<double>(t > last_start ? t - last_start : 0);
-        return result;
-      }
-    }
-  }
-
-  result.found = false;
-  result.time = static_cast<double>(config_.time_cap);
-  result.from_last_start = static_cast<double>(config_.time_cap);
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Lock-step backend, dynamic variant: tick-for-tick the scalar
-// run_step_trial_dynamic. The per-target liveness test, drifted position,
-// and occupancy gate depend only on the tick — not the agent — so they are
-// evaluated ONCE per tick into the target SoA (window_gate /
-// drift_positions kernels) where the scalar loop recomputes them per
-// (agent, target) pair; each agent's post-move test then becomes one gated
-// occupancy scan (find_point_gated) or one dwell-contact advance
-// (dwell_advance) over contiguous arrays. Identical values either way —
-// this hoist plus the kernel scans are the batch path's speedup.
+// Lock-step backend: tick-for-tick the scalar run_step_trial loops. A static
+// target is the degenerate target process — always alive, never drifting,
+// first-find mode — so it keeps only the scalar path's origin-target
+// shortcut and otherwise runs the same loop, instantiated with the
+// target-process branches folded away (kDynamic = false). The per-target
+// liveness test, drifted position, and occupancy gate depend only on the
+// tick — not the agent — so they are evaluated ONCE per tick into the
+// target SoA (window_gate / drift_positions kernels) where the scalar loop
+// recomputes them per (agent, target) pair; each agent's post-move test
+// then becomes one gated occupancy scan (find_point_gated) or one
+// dwell-contact advance (dwell_advance) over contiguous arrays. Identical
+// values either way — this hoist plus the kernel scans are the batch
+// path's speedup.
 
-TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
-                                          const rng::Rng& trial_rng) {
+template <typename Targets>
+TrialResult BatchRunner::run_step(const TrialEnvironment& env,
+                                  const rng::Rng& trial_rng) {
+  constexpr bool kDynamic = Targets::kDynamic;
   const StepStrategy& strategy = *strategy_.step;
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
 
   const Time last_start = env.last_start();
   const std::size_t nt = env.targets.size();
-  const bool collect = env.collect_all;
-  const bool windows = env.has_target_windows();
-  const bool drift = env.has_target_drift();
-  const Time dwell = env.capture_dwell;
+  const bool collect = kDynamic && env.collect_all;
+  const bool windows = kDynamic && env.has_target_windows();
+  const bool drift = kDynamic && env.has_target_drift();
+  const Time dwell = kDynamic ? env.capture_dwell : 0;
   TrialResult result;
   result.last_start = static_cast<double>(last_start);
+  if (!kDynamic &&
+      detail::resolve_origin_target(env, k, config_.time_cap, &result)) {
+    return result;
+  }
   if (collect) result.target_times.assign(nt, -1.0);
 
   const auto start_of = [&](std::size_t ia) {
@@ -866,21 +692,22 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
   const std::int64_t* ty = drift ? cur_ty_.data() : tgt_y_.data();
   alive_.assign(nt, 1);
   found_.assign(nt, 0);
-  found_at_.assign(nt, 0);
   if (dwell > 0) {
     held_.assign(uk * nt, 0);
     confirm_.resize(nt);
   } else {
-    gate_.resize(nt);
+    gate_.assign(nt, 1);  // alive && !found; only windows and finds move it
   }
 
   std::size_t n_found = 0;
+  Time t_last = 0;  // tick of the latest find
   int first_finder = -1;
   int first_ti = -1;
 
-  // nt == 0 (zero-spawn windowed process, first-of-set mode) still sweeps
-  // to the cap so crash/segment accounting matches the segment and plane
-  // backends, which run their heaps out naturally.
+  // nt == 0 (a static race without targets, or a zero-spawn windowed
+  // process in first-find mode) still sweeps to the cap so crash/segment
+  // accounting matches the segment and plane backends, which run their
+  // heaps out naturally.
   for (Time t = 1; t <= config_.time_cap && (nt == 0 || n_found < nt); ++t) {
     const double td = static_cast<double>(t);
     if (drift) {
@@ -904,10 +731,10 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
           alive_[ti] = (app_[ti] <= td && td < van_[ti]) ? 1 : 0;
         }
       }
-    }
-    if (dwell == 0) {
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        gate_[ti] = static_cast<char>(alive_[ti] != 0 && found_[ti] == 0);
+      if (dwell == 0) {
+        for (std::size_t ti = 0; ti < nt; ++ti) {
+          gate_[ti] = static_cast<char>(alive_[ti] != 0 && found_[ti] == 0);
+        }
       }
     }
 
@@ -932,7 +759,7 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
         std::int64_t* held = held_.data() + ia * nt;
         std::size_t nc;
         // For a handful of targets the inline scan beats the kernel call
-        // (same rationale and threshold as the static find_point path).
+        // (same threshold as the occupancy scan below).
         if (nt >= 8) {
           nc = kernels_->dwell_advance(tx, ty, alive_.data(), found_.data(),
                                        nt, next.x, next.y, held, dwell + 1,
@@ -953,7 +780,7 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
         for (std::size_t ci = 0; ci < nc; ++ci) {
           const std::size_t ti = confirm_[ci];
           found_[ti] = 1;
-          found_at_[ti] = t;
+          t_last = t;
           ++n_found;
           if (first_ti < 0) {
             first_finder = a;
@@ -974,7 +801,8 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
       } else {
         // One agent step can capture several co-located targets in collect
         // mode (the scalar loop keeps scanning), so the gated scan resumes
-        // past each capture.
+        // past each capture. For a handful of targets the in-order inline
+        // scan beats the kernel call; same first match either way.
         std::size_t lo = 0;
         for (;;) {
           std::size_t ti = kNpos;
@@ -993,7 +821,7 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
           if (ti == kNpos) break;
           found_[ti] = 1;
           gate_[ti] = 0;
-          found_at_[ti] = t;
+          t_last = t;
           ++n_found;
           if (first_ti < 0) {
             first_finder = a;
@@ -1018,14 +846,10 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
   result.finder = first_finder;
   result.first_target = first_ti;
   if (collect && n_found == nt) {
-    Time t_all = 0;
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-      t_all = std::max(t_all, found_at_[ti]);
-    }
     result.found = true;
-    result.time = static_cast<double>(t_all);
+    result.time = static_cast<double>(t_last);
     result.from_last_start =
-        static_cast<double>(t_all > last_start ? t_all - last_start : 0);
+        static_cast<double>(t_last > last_start ? t_last - last_start : 0);
   } else {
     result.found = false;
     result.time = static_cast<double>(config_.time_cap);
@@ -1044,8 +868,9 @@ TrialResult BatchRunner::run_step_dynamic(const TrialEnvironment& env,
 // The first-sighting race keeps one best hit, ranked as in the segment
 // backend: (time, past the move's first point, agent, target); its bound is
 // min(cap, best). Collect-all keeps per-target bests on and past a move's
-// first point with their epoch ordinals, reconciled after the advance as in
-// run_segment_dynamic; its bound is min(cap, the loosest per-target best),
+// first point with their epoch ordinals, reconciled by settle_collect_all
+// as in the segment backend; its bound is min(cap, the loosest per-target
+// best),
 // the cap while any target is unsighted. Under a target process detection
 // is on sighting only (no home-target shortcut), and a target is skipped
 // before any geometry when it vanished by the move's start, appears only
@@ -1359,78 +1184,21 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
                                       &presult.crashed);
   const auto inside = [bound](double s) { return s < bound; };
 
-  if (!collect) {
-    settle_final_epoch(floor, inside, best, best_on_first_node ? finder : -1,
-                       best_record, &presult.segments, &presult.crashed);
-    if (best != plane::kPlaneNever) {
-      presult.found = true;
-      presult.time = best;
-      presult.finder = finder;
-      presult.first_target = first_target;
-      presult.from_last_start =
-          best > presult.last_start ? best - presult.last_start : 0;
-    } else {
-      presult.found = false;
-      presult.time = cap;
-      presult.finder = -1;
-      presult.from_last_start = cap;
-    }
+  if (collect) {
+    settle_collect_all(floor, inside, pbest_t_, pzbest_t_, plane::kPlaneNever,
+                       cap, presult.last_start, &presult);
     return finish();
   }
-
-  // Collect-all: the decisive time T is the time the last target falls. At
-  // T the heap ran the moves starting before T, then those starting at T in
-  // agent order up to the one that sights the last target sighted at T only
-  // on a move's first point (see run_segment_dynamic).
-  const bool all_found = n_open == 0;
-  plane::Time t_all = 0;
-  for (std::size_t ti = 0; ti < nt && all_found; ++ti) {
-    t_all = std::max(t_all, sighted_at(ti));
-  }
-  const plane::Time decisive = all_found ? t_all : plane::kPlaneNever;
-  int tie_agent = -1;
-  std::uint64_t tie_last = 0;
-  for (std::size_t ti = 0; ti < nt && all_found; ++ti) {
-    if (pzbest_t_[ti] != decisive || pbest_t_[ti] <= decisive) continue;
-    const int f = zfinder_t_[ti];
-    const std::uint64_t r = zrecord_t_[ti];
-    if (f > tie_agent) {
-      tie_agent = f;
-      tie_last = r;
-    } else if (f == tie_agent) {
-      tie_last = std::max(tie_last, r);
-    }
-  }
-  settle_final_epoch(floor, inside, decisive, tie_agent, tie_last,
-                     &presult.segments, &presult.crashed);
-
-  // Each target's time and finder as the heap credits them; the earliest
-  // sighting (ties: lowest agent, then lowest target) fills finder and
-  // first_target.
-  plane::Time first_time = plane::kPlaneNever;
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    const plane::Time b = sighted_at(ti);
-    if (b == plane::kPlaneNever) continue;
-    int f = pbest_t_[ti] == b ? finder_t_[ti] : INT_MAX;
-    const bool heap_ran_it =
-        b != decisive || zfinder_t_[ti] < tie_agent ||
-        (zfinder_t_[ti] == tie_agent && zrecord_t_[ti] <= tie_last);
-    if (pzbest_t_[ti] == b && heap_ran_it) f = std::min(f, zfinder_t_[ti]);
-    presult.target_times[ti] = b;
-    if (b < first_time || (b == first_time && f < presult.finder)) {
-      first_time = b;
-      presult.finder = f;
-      presult.first_target = static_cast<int>(ti);
-    }
-  }
-  if (all_found) {
+  settle_final_epoch(floor, inside, best, best_on_first_node ? finder : -1,
+                     best_record, &presult.segments, &presult.crashed);
+  if (best != plane::kPlaneNever) {
     presult.found = true;
-    presult.time = t_all;
+    presult.time = best;
+    presult.finder = finder;
+    presult.first_target = first_target;
     presult.from_last_start =
-        t_all > presult.last_start ? t_all - presult.last_start : 0;
+        best > presult.last_start ? best - presult.last_start : 0;
   } else {
-    // Partial finds keep finder/first_target of the earliest sighting (and
-    // the partial target_times) for the aggregates.
     presult.found = false;
     presult.time = cap;
     presult.from_last_start = cap;

@@ -6,8 +6,15 @@
 // every trial. BatchRunner hoists that state into reusable contiguous
 // arrays — per-agent clocks, positions, elapsed times, lifetimes in SoA
 // layout, targets split into coordinate arrays — and drives the inner loops
-// (lock-step occupancy checks, plane sight-disc tests, dynamic-target
+// (lock-step occupancy checks, plane sight-disc tests, target-process
 // gates) through the runtime-dispatched kernels in kernels.h.
+//
+// Each strategy family has ONE batch loop — run_segment, run_step,
+// run_plane — for every environment. A static target set is the degenerate
+// target process (no window, no drift, no dwell, first-find mode): it runs
+// the same loop as appear/vanish windows, drift, dwell capture and
+// collect-all, and keeps only the scalar executor's origin/home-target
+// shortcut, which detection-on-arrival target processes do not have.
 //
 // The segment and plane backends schedule agents by epoch advance, not the
 // scalar executor's min-clock heap: each epoch runs every live agent, in
@@ -79,26 +86,19 @@ class BatchRunner {
   SimdLevel level() const noexcept { return kernels_->level; }
 
  private:
+  /// The grid loops, each instantiated for static targets and for target
+  /// processes (Targets::kDynamic = env.has_dynamic_targets(); the tag
+  /// types are private to batch.cpp). The static instantiation folds the
+  /// window, drift, dwell and collect-all branches away: compiled as one
+  /// runtime path, the paper's static races ran 6-12% slower per trial
+  /// (BM_BatchedTrial{Sync,Async,MultiTarget,StepAsync}).
+  template <typename Targets>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng);
+  template <typename Targets>
   TrialResult run_step(const TrialEnvironment& env, const rng::Rng& trial_rng);
   TrialResult run_plane(const TrialEnvironment& env,
                         const rng::Rng& trial_rng);
-
-  /// Grid dynamic-target variants (appear/vanish windows, drift, dwell
-  /// capture, collect-all), mirroring sim/trial.cpp's run_*_trial_dynamic
-  /// loops over the SoA workspaces with the per-tick target tests routed
-  /// through the window_gate / drift_positions / find_point_gated /
-  /// dwell_advance kernels. run_plane takes windows and collect-all itself.
-  TrialResult run_segment_dynamic(const TrialEnvironment& env,
-                                  const rng::Rng& trial_rng);
-  TrialResult run_step_dynamic(const TrialEnvironment& env,
-                               const rng::Rng& trial_rng);
-
-  /// Segment-backend agent setup shared by run_segment/_dynamic: programs,
-  /// rng streams, clocks, and the live list; counts the dead on arrival.
-  void start_segment_agents(const TrialEnvironment& env,
-                            const rng::Rng& trial_rng, int* crashed);
 
   /// Epoch advance over the live agents (segment and plane backends, see
   /// batch.cpp). `step(a)` runs agent a's next segment from clock[a],
@@ -120,6 +120,18 @@ class BatchRunner {
   void settle_final_epoch(Clock floor, Inside inside, Clock tie_time,
                           int tie_agent, std::uint64_t tie_last,
                           std::int64_t* segments, int* crashed) const;
+
+  /// Collect-all reconciliation (segment and plane backends) from the
+  /// per-target earliest finds past (`best`, finders in finder_t_) and on
+  /// (`zbest`, finders and epoch ordinals in zfinder_t_/zrecord_t_) a
+  /// segment's first node: settles the final epoch at the decisive time —
+  /// when the last target falls, `never` while one is unfound — and fills
+  /// the result's outcome, target times, finder and first target.
+  template <typename Clock, typename Inside, typename Result>
+  void settle_collect_all(Clock floor, Inside inside,
+                          const std::vector<Clock>& best,
+                          const std::vector<Clock>& zbest, Clock never,
+                          Clock cap, Clock last_start, Result* result) const;
 
   /// spiral_theta_for_arc(a, s) through a small direct-mapped memo. The
   /// Newton solve dominates the plane profile and strategies reuse a few
@@ -143,14 +155,13 @@ class BatchRunner {
   std::vector<double> drift_vx_, drift_vy_;  ///< drift velocities
   std::vector<std::int64_t> cur_tx_, cur_ty_;  ///< drifted positions @ tick
   std::vector<char> alive_;     ///< window gate @ tick (appear <= t < vanish)
-  std::vector<char> found_;     ///< per-target found mask (collect-all)
+  std::vector<char> found_;     ///< per-target found mask (lock-step)
   std::vector<char> gate_;      ///< alive && !found, occupancy-scan gate
-  std::vector<std::int64_t> found_at_;  ///< per-target discovery tick
-  std::vector<std::int64_t> best_t_;    ///< segment: per-target earliest hit
-  std::vector<int> finder_t_;           ///<   past a segment's first node
-  std::vector<std::int64_t> zbest_t_;   ///< segment: per-target earliest hit
-  std::vector<int> zfinder_t_;          ///<   on a segment's first node, and
-  std::vector<std::uint64_t> zrecord_t_;  ///< its epoch ordinal
+  std::vector<std::int64_t> best_t_;    ///< collect-all: per-target earliest
+  std::vector<int> finder_t_;           ///<   hit past a segment's first node
+  std::vector<std::int64_t> zbest_t_;   ///< collect-all: per-target earliest
+  std::vector<int> zfinder_t_;          ///<   hit on a segment's first node,
+  std::vector<std::uint64_t> zrecord_t_;  ///< and its epoch ordinal
   std::vector<std::int64_t> held_;      ///< dwell contact clocks, uk * nt
   std::vector<std::uint32_t> confirm_;  ///< dwell_advance output buffer
 

@@ -14,14 +14,6 @@ namespace {
 
 // --- scalar ----------------------------------------------------------------
 
-std::size_t find_point_scalar(const std::int64_t* xs, const std::int64_t* ys,
-                              std::size_t n, std::int64_t x, std::int64_t y) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (xs[i] == x && ys[i] == y) return i;
-  }
-  return kNpos;
-}
-
 std::size_t line_candidates_scalar(const double* tx, const double* ty,
                                    std::size_t n, double fx, double fy,
                                    double ux, double uy, double eps,
@@ -92,29 +84,8 @@ std::size_t dwell_advance_scalar(const std::int64_t* tx,
 
 // --- SSE2 (x86-64 baseline) ------------------------------------------------
 //
-// Pair equality (via 32-bit halves), the window gate, and the line
+// Gated pair equality (via 32-bit halves), the window gate, and the line
 // prefilter vectorize two-wide.
-
-std::size_t find_point_sse2(const std::int64_t* xs, const std::int64_t* ys,
-                            std::size_t n, std::int64_t x, std::int64_t y) {
-  const __m128i px = _mm_set1_epi64x(x);
-  const __m128i py = _mm_set1_epi64x(y);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i ex = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(xs + i)), px);
-    const __m128i ey = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ys + i)), py);
-    const int mask = _mm_movemask_epi8(_mm_and_si128(ex, ey));
-    // A 64-bit lane matches iff both of its 32-bit halves compared equal.
-    if ((mask & 0xFF) == 0xFF) return i;
-    if ((mask >> 8) == 0xFF) return i + 1;
-  }
-  for (; i < n; ++i) {
-    if (xs[i] == x && ys[i] == y) return i;
-  }
-  return kNpos;
-}
 
 std::size_t line_candidates_sse2(const double* tx, const double* ty,
                                  std::size_t n, double fx, double fy,
@@ -201,27 +172,6 @@ std::size_t find_point_gated_sse2(const std::int64_t* xs,
 // of which SSE2 offers.
 
 // --- AVX2 (compiled per-function via target attribute) ---------------------
-
-__attribute__((target("avx2"))) std::size_t find_point_avx2(
-    const std::int64_t* xs, const std::int64_t* ys, std::size_t n,
-    std::int64_t x, std::int64_t y) {
-  const __m256i px = _mm256_set1_epi64x(x);
-  const __m256i py = _mm256_set1_epi64x(y);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i ex = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs + i)), px);
-    const __m256i ey = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ys + i)), py);
-    const int mask =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_and_si256(ex, ey)));
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(mask));
-  }
-  for (; i < n; ++i) {
-    if (xs[i] == x && ys[i] == y) return i;
-  }
-  return kNpos;
-}
 
 __attribute__((target("avx2"))) std::size_t line_candidates_avx2(
     const double* tx, const double* ty, std::size_t n, double fx, double fy,
@@ -418,19 +368,16 @@ __attribute__((target("avx2"))) std::size_t dwell_advance_avx2(
 }  // namespace
 
 const Kernels& kernels_for(SimdLevel level) noexcept {
-  static const Kernels scalar{SimdLevel::kScalar,      find_point_scalar,
-                              line_candidates_scalar,  window_gate_scalar,
-                              find_point_gated_scalar, drift_positions_scalar,
-                              dwell_advance_scalar};
+  static const Kernels scalar{SimdLevel::kScalar,     line_candidates_scalar,
+                              window_gate_scalar,     find_point_gated_scalar,
+                              drift_positions_scalar, dwell_advance_scalar};
 #if defined(ANTS_BATCH_X86)
-  static const Kernels sse2{SimdLevel::kSse2,      find_point_sse2,
-                            line_candidates_sse2,  window_gate_sse2,
-                            find_point_gated_sse2, drift_positions_scalar,
-                            dwell_advance_scalar};
-  static const Kernels avx2{SimdLevel::kAvx2,      find_point_avx2,
-                            line_candidates_avx2,  window_gate_avx2,
-                            find_point_gated_avx2, drift_positions_avx2,
-                            dwell_advance_avx2};
+  static const Kernels sse2{SimdLevel::kSse2,       line_candidates_sse2,
+                            window_gate_sse2,       find_point_gated_sse2,
+                            drift_positions_scalar, dwell_advance_scalar};
+  static const Kernels avx2{SimdLevel::kAvx2,     line_candidates_avx2,
+                            window_gate_avx2,     find_point_gated_avx2,
+                            drift_positions_avx2, dwell_advance_avx2};
   switch (level) {
     case SimdLevel::kAvx2:
       return avx2;

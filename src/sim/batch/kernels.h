@@ -5,20 +5,20 @@
 // struct-of-arrays state, with scalar/SSE2/AVX2 implementations that are
 // RESULT-identical by construction:
 //
-//   * find_point returns the first index whose (x, y) pair equals the
-//     probe — exactly the lock-step backend's in-order occupancy scan.
 //   * line_candidates evaluates, per target, the same IEEE expression tree
 //     the scalar sight test (plane::line_first_sighting) starts with — no
 //     FMA contraction, same operation order — so the candidate set equals
 //     the set the scalar loop would shortlist; every candidate is then
 //     re-checked by the scalar test, making the prefilter byte-safe.
-//   * the dynamic-target kernels (window_gate, find_point_gated,
+//   * the target-process kernels (window_gate, find_point_gated,
 //     drift_positions, dwell_advance) compute exactly the per-target tests
-//     of the scalar dynamic loops (sim/trial.cpp run_*_trial_dynamic):
-//     drift_positions reproduces std::llround's half-away-from-zero
-//     rounding bit for bit (trunc + exact fraction + ±1 adjust), and the
-//     scan/advance kernels emit indices in ascending order so the scalar
-//     lowest-target-index tie-break is preserved.
+//     of the scalar lock-step loops (sim/trial.cpp): drift_positions
+//     reproduces std::llround's half-away-from-zero rounding bit for bit
+//     (trunc + exact fraction + ±1 adjust), and the scan/advance kernels
+//     emit indices in ascending order so the scalar lowest-target-index
+//     tie-break is preserved. A static target is the degenerate process
+//     (always alive, never drifting), so find_point_gated with every gate
+//     byte set is also the static occupancy scan.
 //
 // Agent scheduling needs no kernel: the segment and plane backends advance
 // agents in epochs (batch.h), where outcomes are order-independent minima
@@ -41,10 +41,6 @@ inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 struct Kernels {
   SimdLevel level = SimdLevel::kScalar;
 
-  /// First i with xs[i] == x && ys[i] == y, else kNpos.
-  std::size_t (*find_point)(const std::int64_t* xs, const std::int64_t* ys,
-                            std::size_t n, std::int64_t x, std::int64_t y);
-
   /// Sight-disc prefilter for a unit-direction line move from (fx, fy):
   /// writes the indices (ascending) of every target that could be sighted —
   /// start inside the disc (|w|^2 <= eps^2) or nonnegative quadratic
@@ -57,13 +53,14 @@ struct Kernels {
                                  std::uint32_t* out);
 
   /// out[i] = 1 iff appear[i] <= t && t < vanish[i], else 0 — the scalar
-  /// dynamic loops' per-target liveness test over the whole target block.
+  /// lock-step loop's per-target liveness test over the whole target block.
   void (*window_gate)(const double* appear, const double* vanish,
                       std::size_t n, double t, char* out);
 
   /// First i with gate[i] != 0 && xs[i] == x && ys[i] == y, else kNpos —
-  /// find_point restricted to targets whose gate byte is set (alive and not
-  /// yet found).
+  /// the lock-step backend's in-order occupancy scan over the targets whose
+  /// gate byte is set (alive and not yet found; all of them for static
+  /// targets).
   std::size_t (*find_point_gated)(const std::int64_t* xs,
                                   const std::int64_t* ys, const char* gate,
                                   std::size_t n, std::int64_t x,

@@ -58,13 +58,14 @@ constexpr std::int64_t pow2(int e) noexcept {
   return std::int64_t{1} << e;
 }
 
-/// Integer power with overflow assertion in debug builds.
+/// Integer power with overflow assertion in debug builds (any sign of
+/// base; the result must fit in int64).
 constexpr std::int64_t ipow(std::int64_t base, int exp) noexcept {
   assert(exp >= 0);
   std::int64_t r = 1;
   for (int i = 0; i < exp; ++i) {
-    assert(base == 0 || r <= std::numeric_limits<std::int64_t>::max() / base);
-    r *= base;
+    [[maybe_unused]] const bool overflow = __builtin_mul_overflow(r, base, &r);
+    assert(!overflow);
   }
   return r;
 }

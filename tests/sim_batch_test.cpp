@@ -4,9 +4,10 @@
 // environment shape, and SIMD dispatch level this machine supports,
 // BatchRunner::run_one must reproduce sim::run_trial EXACTLY — same doubles
 // bit for bit, same finder/target tie-breaks, same crash and segment counts,
-// the same segment-budget errors. The kernel unit tests pin the primitives'
-// scalar-equivalence properties (in-order occupancy find, candidate
-// supersets) at every level, including the non-multiple-of-width tails.
+// the same segment-budget errors. The kernel unit tests pin every
+// primitive's scalar equivalence (in-order gated occupancy find, candidate
+// sets and supersets, window gates, drift rounding, dwell advance) at every
+// level, including the non-multiple-of-width tails.
 #include "sim/batch/batch.h"
 
 #include <gtest/gtest.h>
@@ -67,7 +68,10 @@ struct LevelGuard {
 
 // --- kernel unit tests -----------------------------------------------------
 
-TEST(BatchKernels, FindPointReturnsFirstMatchInOrder) {
+TEST(BatchKernels, FindPointGatedReturnsFirstGatedMatchInOrder) {
+  // Random gates against the scalar kernel, and the all-set gate (the
+  // static occupancy scan) against a plain first-match loop. Coordinates
+  // from {-1, 0, 1} make duplicate matches common.
   rng::Rng rng(7);
   const Kernels& scalar = kernels_for(SimdLevel::kScalar);
   for (const SimdLevel level : testable_levels()) {
@@ -75,27 +79,156 @@ TEST(BatchKernels, FindPointReturnsFirstMatchInOrder) {
     for (std::size_t n = 1; n <= 24; ++n) {
       for (int rep = 0; rep < 40; ++rep) {
         std::vector<std::int64_t> xs(n), ys(n);
+        std::vector<char> gate(n), all(n, 1);
         for (std::size_t i = 0; i < n; ++i) {
           xs[i] = rng.uniform_int(-1, 1);
           ys[i] = rng.uniform_int(-1, 1);
+          gate[i] = static_cast<char>(rng.uniform_int(0, 1));
         }
         const std::int64_t px = rng.uniform_int(-1, 1);
         const std::int64_t py = rng.uniform_int(-1, 1);
-        EXPECT_EQ(scalar.find_point(xs.data(), ys.data(), n, px, py),
-                  k.find_point(xs.data(), ys.data(), n, px, py))
+        EXPECT_EQ(
+            scalar.find_point_gated(xs.data(), ys.data(), gate.data(), n, px,
+                                    py),
+            k.find_point_gated(xs.data(), ys.data(), gate.data(), n, px, py))
+            << simd_level_name(level) << " n=" << n;
+        std::size_t first = kNpos;
+        for (std::size_t i = 0; i < n && first == kNpos; ++i) {
+          if (xs[i] == px && ys[i] == py) first = i;
+        }
+        EXPECT_EQ(first, k.find_point_gated(xs.data(), ys.data(), all.data(),
+                                            n, px, py))
             << simd_level_name(level) << " n=" << n;
       }
     }
   }
 }
 
-TEST(BatchKernels, FindPointMissReturnsNpos) {
-  const std::vector<std::int64_t> xs = {1, 2, 3, 4, 5};
-  const std::vector<std::int64_t> ys = {1, 2, 3, 4, 5};
+TEST(BatchKernels, FindPointGatedMissReturnsNpos) {
+  const std::vector<std::int64_t> xs = {1, 2, 3, 4, 5, 4, 7, 8, 9};
+  const std::vector<std::int64_t> ys = {1, 2, 3, 4, 5, 4, 7, 8, 9};
   for (const SimdLevel level : testable_levels()) {
     const Kernels& k = kernels_for(level);
-    EXPECT_EQ(k.find_point(xs.data(), ys.data(), xs.size(), 3, 4), kNpos);
-    EXPECT_EQ(k.find_point(xs.data(), ys.data(), xs.size(), 4, 4), 3u);
+    std::vector<char> gate(xs.size(), 1);
+    EXPECT_EQ(k.find_point_gated(xs.data(), ys.data(), gate.data(), xs.size(),
+                                 3, 4),
+              kNpos);
+    EXPECT_EQ(k.find_point_gated(xs.data(), ys.data(), gate.data(), xs.size(),
+                                 4, 4),
+              3u);
+    gate[3] = 0;  // a cleared gate skips to the next match
+    EXPECT_EQ(k.find_point_gated(xs.data(), ys.data(), gate.data(), xs.size(),
+                                 4, 4),
+              5u);
+    gate[5] = 0;
+    EXPECT_EQ(k.find_point_gated(xs.data(), ys.data(), gate.data(), xs.size(),
+                                 4, 4),
+              kNpos);
+  }
+}
+
+TEST(BatchKernels, WindowGateMatchesScalarExactly) {
+  // Windows on a half-integer lattice around the probe tick, so t lands
+  // exactly on appear (inclusive) and vanish (exclusive) bounds often.
+  rng::Rng rng(91);
+  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 21; ++n) {
+      for (int rep = 0; rep < 40; ++rep) {
+        std::vector<double> appear(n), vanish(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          appear[i] = 0.5 * static_cast<double>(rng.uniform_int(0, 12));
+          const double span = 0.5 * static_cast<double>(rng.uniform_int(0, 8));
+          vanish[i] = rng.uniform_int(0, 5) == 0
+                          ? std::numeric_limits<double>::infinity()
+                          : appear[i] + span;
+        }
+        const double t = static_cast<double>(rng.uniform_int(0, 8));
+        std::vector<char> want(n, 7), got(n, 7);
+        scalar.window_gate(appear.data(), vanish.data(), n, t, want.data());
+        k.window_gate(appear.data(), vanish.data(), n, t, got.data());
+        EXPECT_EQ(want, got) << simd_level_name(level) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, DriftPositionsMatchScalarExactly) {
+  // Velocities on a 1/4 lattice make v * t land on .5 (llround's
+  // half-away-from-zero case) for both signs; the uniform draws and the
+  // large ticks cover the ordinary and the big-magnitude cases.
+  rng::Rng rng(92);
+  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 21; ++n) {
+      for (int rep = 0; rep < 40; ++rep) {
+        std::vector<std::int64_t> bx(n), by(n);
+        std::vector<double> vx(n), vy(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          bx[i] = rng.uniform_int(-50, 50);
+          by[i] = rng.uniform_int(-50, 50);
+          if (rng.uniform_int(0, 1) == 0) {
+            vx[i] = 0.25 * static_cast<double>(rng.uniform_int(-8, 8));
+            vy[i] = 0.25 * static_cast<double>(rng.uniform_int(-8, 8));
+          } else {
+            vx[i] = rng.uniform_real(-3.0, 3.0);
+            vy[i] = rng.uniform_real(-3.0, 3.0);
+          }
+        }
+        const double t = rep % 4 == 0
+                             ? static_cast<double>(rng.uniform_int(1, 1 << 30))
+                             : static_cast<double>(rng.uniform_int(0, 40));
+        std::vector<std::int64_t> wx(n), wy(n), gx(n), gy(n);
+        scalar.drift_positions(bx.data(), by.data(), vx.data(), vy.data(), n,
+                               t, wx.data(), wy.data());
+        k.drift_positions(bx.data(), by.data(), vx.data(), vy.data(), n, t,
+                          gx.data(), gy.data());
+        EXPECT_EQ(wx, gx) << simd_level_name(level) << " n=" << n;
+        EXPECT_EQ(wy, gy) << simd_level_name(level) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, DwellAdvanceMatchesScalarExactly) {
+  // Targets within a few cells of the probe, random alive/found bytes and
+  // contact counters: same confirmations in the same order, same counters.
+  rng::Rng rng(93);
+  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 21; ++n) {
+      for (int rep = 0; rep < 40; ++rep) {
+        std::vector<std::int64_t> tx(n), ty(n), held(n);
+        std::vector<char> alive(n), found(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          tx[i] = rng.uniform_int(-2, 2);
+          ty[i] = rng.uniform_int(-2, 2);
+          held[i] = rng.uniform_int(0, 4);
+          alive[i] = static_cast<char>(rng.uniform_int(0, 3) != 0);
+          found[i] = static_cast<char>(rng.uniform_int(0, 3) == 0);
+        }
+        const std::int64_t x = rng.uniform_int(-1, 1);
+        const std::int64_t y = rng.uniform_int(-1, 1);
+        const std::int64_t need = rng.uniform_int(1, 4);
+        std::vector<std::int64_t> want_held = held, got_held = held;
+        std::vector<std::uint32_t> want(n), got(n);
+        const std::size_t nw =
+            scalar.dwell_advance(tx.data(), ty.data(), alive.data(),
+                                 found.data(), n, x, y, want_held.data(), need,
+                                 want.data());
+        const std::size_t ng =
+            k.dwell_advance(tx.data(), ty.data(), alive.data(), found.data(),
+                            n, x, y, got_held.data(), need, got.data());
+        ASSERT_EQ(nw, ng) << simd_level_name(level) << " n=" << n;
+        want.resize(nw);
+        got.resize(ng);
+        EXPECT_EQ(want, got) << simd_level_name(level) << " n=" << n;
+        EXPECT_EQ(want_held, got_held) << simd_level_name(level) << " n=" << n;
+      }
+    }
   }
 }
 
@@ -270,9 +403,27 @@ TEST(BatchRunnerStep, MatchesRunTrialAcrossEnvironmentsAndLevels) {
     return draw_environment(4, targets, SyncStart(), DoaCrash(0.5),
                             trial_rng);
   };
+  // Nine static targets: the occupancy test takes the find_point_gated
+  // kernel (eight or more targets) rather than the inline scan.
+  const std::vector<grid::Point> many = {{3, 0},  {0, 3},  {-3, 0},
+                                         {0, -3}, {2, 2},  {-2, 2},
+                                         {2, -2}, {-2, -2}, {3, 0}};
+  const auto many_drawn = [&](const rng::Rng& trial_rng) {
+    return draw_environment(4, many, StaggeredStart(3),
+                            ExponentialLifetime(400.0), trial_rng);
+  };
+  // A target on the origin: the static path's origin shortcut under
+  // staggered starts and dead-on-arrival agents.
+  const std::vector<grid::Point> with_origin = {{5, 1}, grid::kOrigin};
+  const auto origin_drawn = [&](const rng::Rng& trial_rng) {
+    return draw_environment(4, with_origin, StaggeredStart(5), DoaCrash(0.5),
+                            trial_rng);
+  };
   expect_conformance(s, 4, sync, config, 30, 201);
   expect_conformance(s, 4, drawn, config, 30, 202);
   expect_conformance(s, 4, doa, config, 30, 203);
+  expect_conformance(s, 4, many_drawn, config, 30, 204);
+  expect_conformance(s, 4, origin_drawn, config, 30, 205);
 }
 
 TEST(BatchRunnerPlane, MatchesRunTrialAcrossEnvironmentsAndLevels) {

@@ -82,6 +82,13 @@ TEST(Pow2AndIpow, Basics) {
   EXPECT_EQ(ipow(2, 20), 1 << 20);
   EXPECT_EQ(ipow(0, 5), 0);
   EXPECT_EQ(ipow(-2, 3), -8);
+  EXPECT_EQ(ipow(-3, 5), -243);
+  EXPECT_EQ(ipow(-3, 4), 81);
+  EXPECT_EQ(ipow(-1, 63), -1);
+  EXPECT_EQ(ipow(-2, 63), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(ipow(2, 62), std::int64_t{1} << 62);
+  EXPECT_EQ(ipow(3, 39), std::int64_t{4052555153018976267});
+  static_assert(ipow(-2, 3) == -8);
 }
 
 TEST(DivCeil, RoundsUp) {
